@@ -12,19 +12,10 @@ root:
 2. **Candidate evaluation** — HotPotato's (assignment, tau) candidates
    one-at-a-time vs stacked through ``peak_batch`` (plus the memoized
    re-scan cost, the steady-state case of a settled scheduler).
-3. **Sweep wall time** — the fig4a driver at ``jobs=1`` vs
-   ``jobs="auto"`` (the vectorized fused batch) vs ``jobs=4`` (the
-   pool).  The artifact records the policy ``auto`` resolved to and the
-   batch counters; the CI gate holds ``auto`` to never-slower-than-serial
-   (it fuses in-process, so there is no overhead to amortize).  On
-   multi-core hosts jobs=4 shows the pool speedup; a 1-CPU container's
-   flat result reads as what it is via the recorded ``cpu_count``.
-   Results are asserted identical across all modes.
-4. **Batched stepping** — one :class:`BatchedSpectralState` stepping all
-   four fig4 cells per fused update vs the per-cell dense
-   ``ThermalDynamics.step`` reference, gated at **5x** (measured margin
-   is far larger); rows are asserted bit-identical to per-cell
-   :class:`SpectralThermalState` stepping.
+3. **Sweep wall time** — the fig4a driver at ``jobs=1`` vs ``jobs=4``.
+   On multi-core hosts this shows the pool speedup; the artifact records
+   ``cpu_count`` so a 1-CPU container's flat result reads as what it is.
+   Results are asserted identical in both modes regardless.
 """
 
 import json
@@ -38,7 +29,6 @@ import pytest
 from repro.core import PeakTemperatureCalculator
 from repro.experiments import fig4a
 from repro.thermal import SpectralThermalState
-from repro.thermal.batched_state import BatchedSpectralState
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ARTIFACT = REPO_ROOT / "BENCH_engine.json"
@@ -154,152 +144,32 @@ def candidates(ctx64):
     }
 
 
-SWEEP_REPEATS = 2
-
-
 @pytest.fixture(scope="module")
 def sweep():
-    """fig4a wall time: jobs=1 vs jobs="auto" vs jobs=4 (full sweeps).
-
-    Serial and auto run *interleaved*, best-of-``SWEEP_REPEATS`` each:
-    the two policies do identical work (profiled call counts differ by
-    ~0.1%), so the comparison is dominated by box noise and frequency
-    drift — interleaving cancels the drift, best-of cancels the noise.
-    jobs=4 is one shot (its gate has a 2x margin).
-    """
-    report = {}
-    serial_s = auto_s = None
-    serial = auto = None
-    for _ in range(SWEEP_REPEATS):
-        start = time.perf_counter()
-        serial = fig4a.run(
-            benchmarks=SWEEP_BENCHMARKS, max_time_s=SWEEP_MAX_TIME_S
-        )
-        elapsed = time.perf_counter() - start
-        serial_s = elapsed if serial_s is None else min(serial_s, elapsed)
-        start = time.perf_counter()
-        auto = fig4a.run(
-            benchmarks=SWEEP_BENCHMARKS,
-            max_time_s=SWEEP_MAX_TIME_S,
-            jobs="auto",
-            report=report,
-        )
-        elapsed = time.perf_counter() - start
-        auto_s = elapsed if auto_s is None else min(auto_s, elapsed)
+    """fig4a wall time at jobs=1 vs jobs=4 (single repeat: full sweeps)."""
+    start = time.perf_counter()
+    serial = fig4a.run(benchmarks=SWEEP_BENCHMARKS, max_time_s=SWEEP_MAX_TIME_S)
+    serial_s = time.perf_counter() - start
     start = time.perf_counter()
     parallel = fig4a.run(
         benchmarks=SWEEP_BENCHMARKS, max_time_s=SWEEP_MAX_TIME_S, jobs=4
     )
     parallel_s = time.perf_counter() - start
     for name in SWEEP_BENCHMARKS:
-        a, b, c = (
-            serial.comparisons[name],
-            parallel.comparisons[name],
-            auto.comparisons[name],
-        )
+        a, b = serial.comparisons[name], parallel.comparisons[name]
         assert a.hotpotato.metrics_snapshot == b.hotpotato.metrics_snapshot
-        assert a.hotpotato.metrics_snapshot == c.hotpotato.metrics_snapshot
         assert a.pcmig.makespan_s == b.pcmig.makespan_s
-        assert a.pcmig.makespan_s == c.pcmig.makespan_s
     return {
         "benchmarks": list(SWEEP_BENCHMARKS),
         "max_time_s": SWEEP_MAX_TIME_S,
         "jobs1_wall_s": serial_s,
-        "auto_wall_s": auto_s,
-        "auto_policy": report.get("policy"),
-        "auto_batch": report.get("batch"),
-        "auto_speedup": serial_s / auto_s,
         "jobs4_wall_s": parallel_s,
         "speedup": serial_s / parallel_s,
         "cpu_count": os.cpu_count(),
     }
 
 
-BATCH_CELLS = 4  # fig4's sweep shape: 2 benchmarks x 2 schedulers
-BATCH_STEPS = 400
-
-
-@pytest.fixture(scope="module")
-def batched_sweep(ctx64):
-    """Fused batched stepping vs the per-cell dense reference."""
-    dynamics = ctx64.dynamics
-    model = dynamics.model
-    rng = np.random.default_rng(11)
-    cell_powers = [
-        [
-            rng.uniform(0.0, 9.0, size=model.n_cores)
-            for _ in range(8)
-        ]
-        for _ in range(BATCH_CELLS)
-    ]
-
-    def dense():
-        finals = []
-        for powers in cell_powers:
-            temps = model.ambient_vector(_AMBIENT_C)
-            for i in range(BATCH_STEPS):
-                temps = dynamics.step(
-                    temps, powers[i % len(powers)], _AMBIENT_C, _TAU_S
-                )
-            finals.append(temps)
-        return np.stack(finals)
-
-    def solo_spectral():
-        states = [
-            SpectralThermalState(
-                dynamics, _AMBIENT_C, model.ambient_vector(_AMBIENT_C)
-            )
-            for _ in range(BATCH_CELLS)
-        ]
-        for i in range(BATCH_STEPS):
-            for cell, state in enumerate(states):
-                state.step(cell_powers[cell][i % 8], _TAU_S)
-                state.core_temperatures()
-        return np.stack([s.node_temperatures() for s in states])
-
-    def fused():
-        batch = BatchedSpectralState.from_states(
-            [
-                SpectralThermalState(
-                    dynamics, _AMBIENT_C, model.ambient_vector(_AMBIENT_C)
-                )
-                for _ in range(BATCH_CELLS)
-            ]
-        )
-        for i in range(BATCH_STEPS):
-            batch.step(
-                np.stack([cell_powers[c][i % 8] for c in range(BATCH_CELLS)]),
-                _TAU_S,
-            )
-            for cell in range(BATCH_CELLS):
-                batch.core_temperatures(cell)
-        return np.stack(
-            [batch.node_temperatures(c) for c in range(BATCH_CELLS)]
-        )
-
-    dense_s, dense_final = _best_of(dense)
-    solo_s, solo_final = _best_of(solo_spectral)
-    fused_s, fused_final = _best_of(fused)
-    # fused rows are bit-identical to per-cell spectral stepping, and
-    # both agree with the dense reference
-    assert np.array_equal(fused_final, solo_final)
-    np.testing.assert_allclose(fused_final, dense_final, rtol=0, atol=1e-9)
-    total_steps = BATCH_CELLS * BATCH_STEPS
-    return {
-        "n_cells": BATCH_CELLS,
-        "n_steps_per_cell": BATCH_STEPS,
-        "dense_wall_s": dense_s,
-        "solo_spectral_wall_s": solo_s,
-        "fused_wall_s": fused_s,
-        "dense_steps_per_s": total_steps / dense_s,
-        "solo_spectral_steps_per_s": total_steps / solo_s,
-        "fused_steps_per_s": total_steps / fused_s,
-        "speedup_vs_dense": dense_s / fused_s,
-        "speedup_vs_solo_spectral": solo_s / fused_s,
-    }
-
-
-def test_artifact_written(stepping, candidates, sweep, batched_sweep):
+def test_artifact_written(stepping, candidates, sweep):
     ARTIFACT.write_text(
         json.dumps(
             {
@@ -309,7 +179,6 @@ def test_artifact_written(stepping, candidates, sweep, batched_sweep):
                 "interval_stepping": stepping,
                 "candidate_evaluation": candidates,
                 "parallel_sweep": sweep,
-                "batched_sweep": batched_sweep,
             },
             indent=2,
         )
@@ -341,28 +210,3 @@ def test_parallel_sweep_no_pathological_overhead(sweep):
     on a single-CPU host (where no speedup is physically possible); on
     multi-core hosts the artifact records the actual speedup."""
     assert sweep["jobs4_wall_s"] < sweep["jobs1_wall_s"] * 2.0 + 2.0
-
-
-def test_auto_sweep_vectorizes_and_never_loses_to_serial(sweep):
-    """The ``jobs="auto"`` gate: with the fig4a batch builder available,
-    auto must resolve to the vectorized in-process policy and must not
-    be slower than the serial sweep — fusing the thermal hot loops has
-    no pool/pickle overhead to amortize, so "never slower" is the
-    contract, not a best case (the artifact records the actual speedup).
-    """
-    assert sweep["auto_policy"] == "vectorized"
-    assert sweep["auto_wall_s"] <= sweep["jobs1_wall_s"] * 1.05
-    batch = sweep["auto_batch"]
-    assert batch["width_initial"] == 2 * len(SWEEP_BENCHMARKS)
-    assert batch["fused_updates"] >= 1
-    # fusion did its job: far fewer fused updates than rows stepped
-    assert batch["rows_stepped"] > batch["fused_updates"]
-
-
-def test_batched_stepping_at_least_5x_dense(batched_sweep):
-    """The CI gate on the fused multi-cell fast path: stepping all fig4
-    cells through one BatchedSpectralState must beat the per-cell dense
-    reference by at least 5x per cell-step (measured margins are ~20-40x;
-    the slack absorbs shared-box noise, not a regression to the dense or
-    un-fused path)."""
-    assert batched_sweep["speedup_vs_dense"] >= 5.0

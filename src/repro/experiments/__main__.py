@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Literal, Union
 
 from . import fig1, fig2, fig3, fig4a, fig4b, overhead, stacked3d, table1
 
@@ -20,8 +21,8 @@ _EXPERIMENTS = (
 )
 
 
-def _jobs_arg(value: str):
-    """``--jobs`` accepts a worker count or the ``auto`` policy keyword."""
+def _jobs_arg(value: str) -> Union[int, Literal["auto"]]:
+    """``--jobs`` accepts a worker count or ``auto`` (one per core)."""
     if value == "auto":
         return value
     try:
@@ -49,9 +50,8 @@ def main(argv=None) -> int:
         default=1,
         metavar="N|auto",
         help="worker processes for the sweep experiments (fig4a/fig4b), "
-        "or 'auto' to pick an execution policy (normally the vectorized "
-        "in-process batch); results are identical to a serial run "
-        "(default: 1)",
+        "or 'auto' for one per CPU core (serial on a single core); "
+        "results are identical to a serial run (default: 1)",
     )
     parser.add_argument(
         "--checkpoint",
@@ -110,7 +110,7 @@ def main(argv=None) -> int:
 def _run_one(
     name: str,
     quick: bool,
-    jobs: int = 1,
+    jobs: Union[int, Literal["auto"]] = 1,
     checkpoint: str = None,
     resume: bool = False,
     traffic: str = "poisson",

@@ -41,10 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .graph import ProjectGraph
 
 #: Subpackages of ``repro`` that must be bit-deterministic under a seed.
-#: The batched engine (``sim/batch.py``, ``thermal/batched_state.py``)
-#: is covered here: its whole contract is that a fused sweep is
-#: byte-identical to solo runs, which a clock or global-RNG read would
-#: silently break per-row.
 DETERMINISTIC_SUBPACKAGES = ("sim", "sched", "thermal", "core")
 
 #: Top-level ``repro`` modules held to the same determinism rules; an

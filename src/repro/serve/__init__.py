@@ -15,8 +15,6 @@ The layers, bottom-up (the request lifecycle is traced end-to-end in
   Algorithm-1 calculators and the peak-temperature memo;
 - :class:`MicroBatcher` — coalesces concurrent candidate evaluations
   into single ``peak_batch`` calls;
-- :class:`SimulateBatcher` — coalesces concurrent ``/v1/simulate`` runs
-  into fused batched engines (``repro.sim.batch``);
 - :class:`ThermalService` — transport-free tenant registry, payload
   validation, tau selection, simulation, degradation ladder;
 - :class:`ThermalServer` — the asyncio HTTP transport;
@@ -24,14 +22,13 @@ The layers, bottom-up (the request lifecycle is traced end-to-end in
   ``BENCH_serve.json``.
 """
 
-from .batch import MicroBatcher, SimulateBatcher
+from .batch import MicroBatcher
 from .cache import ServeCache, config_fingerprint, model_fingerprint
 from .http import ThermalServer
 from .service import ServeConfig, TenantState, ThermalService
 
 __all__ = [
     "MicroBatcher",
-    "SimulateBatcher",
     "ServeCache",
     "ServeConfig",
     "TenantState",

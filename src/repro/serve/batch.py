@@ -38,7 +38,7 @@ import numpy as np
 
 from ..obs.spans import SpanTracer
 
-__all__ = ["MicroBatcher", "SimulateBatcher"]
+__all__ = ["MicroBatcher"]
 
 #: One queued candidate: calculator, power sequence, tau, waiter future,
 #: and the span id of the request that enqueued it (None untraced).
@@ -144,112 +144,4 @@ class MicroBatcher:
             "batch.flushes": float(self.flushes),
             "batch.requests": float(self.requests),
             "batch.coalesced": float(self.coalesced),
-        }
-
-
-#: One queued simulate request: tenant, payload, profiler, waiter future,
-#: and the span id of the request that enqueued it (None untraced).
-_PendingSim = Tuple[object, dict, object, "asyncio.Future", Optional[int]]
-
-
-class SimulateBatcher:
-    """Coalesce concurrent ``/v1/simulate`` runs into fused batched engines.
-
-    The same flush discipline as :class:`MicroBatcher`, one level up the
-    stack: requests enqueue ``(tenant, payload)`` and a flush — scheduled
-    for the next event-loop tick, optionally delayed by a coalescing
-    window — hands the whole burst to
-    :meth:`~repro.serve.service.ThermalService.simulate_many`, which
-    builds every simulator, groups runs sharing a thermal eigenbasis, and
-    lock-steps each group through one
-    :class:`~repro.sim.batch.BatchedSimulatorSet`.  Responses are
-    byte-identical to sequential :meth:`ThermalService.simulate` calls,
-    and each request's success/failure resolves independently — the HTTP
-    layer's per-tenant degradation ladder is unchanged.
-
-    Counters join the ``serve.batch.*`` family on ``/metrics``:
-    ``simulate_flushes``, ``simulate_requests``, and ``simulate_fused``
-    (requests whose flush held at least one other request).
-    """
-
-    def __init__(
-        self,
-        service,
-        window_s: float = 0.0,
-        tracer: Optional[SpanTracer] = None,
-        metrics=None,
-    ):
-        #: the :class:`~repro.serve.service.ThermalService` running sims
-        self.service = service
-        #: coalescing window [s]; 0 flushes on the next event-loop tick.
-        self.window_s = window_s
-        self.tracer = tracer if tracer is not None else SpanTracer()
-        #: optional MetricsRegistry receiving ``parallel.batch.*`` gauges
-        self.metrics = metrics
-        self._pending: List[_PendingSim] = []
-        self._flush_scheduled = False
-        # monotonic counters, published as serve.batch.* on /metrics
-        self.simulate_flushes = 0
-        self.simulate_requests = 0
-        self.simulate_fused = 0
-
-    async def simulate(
-        self, tenant, payload: dict, profiler=None
-    ) -> dict:
-        """Run one simulate request through the next shared flush."""
-        loop = asyncio.get_running_loop()
-        origin = self.tracer.current_span_id()
-        future = loop.create_future()
-        self._pending.append((tenant, payload, profiler, future, origin))
-        self._schedule_flush(loop)
-        with self.tracer.span("batch.simulate_wait"):
-            return await future
-
-    def _schedule_flush(self, loop: asyncio.AbstractEventLoop) -> None:
-        if self._flush_scheduled:
-            return
-        self._flush_scheduled = True
-        if self.window_s > 0:
-            loop.call_later(self.window_s, self._flush)
-        else:
-            loop.call_soon(self._flush)
-
-    def _flush(self) -> None:
-        """Drain the queue through ``ThermalService.simulate_many``."""
-        self._flush_scheduled = False
-        pending, self._pending = self._pending, []
-        if not pending:
-            return
-        self.simulate_flushes += 1
-        self.simulate_requests += len(pending)
-        if len(pending) > 1:
-            self.simulate_fused += len(pending)
-        origins = sorted(
-            {item[4] for item in pending if item[4] is not None}
-        )
-        with self.tracer.span(
-            "batch.simulate_flush",
-            root=True,
-            links=tuple(origins),
-            requests=len(pending),
-        ):
-            outcomes = self.service.simulate_many(
-                [(tenant, payload) for tenant, payload, _, _, _ in pending],
-                profilers=[profiler for _, _, profiler, _, _ in pending],
-                metrics=self.metrics,
-            )
-        for (_, _, _, future, _), (status, value) in zip(pending, outcomes):
-            if future.done():
-                continue
-            if status == "ok":
-                future.set_result(value)
-            else:
-                future.set_exception(value)
-
-    def stats(self) -> Dict[str, float]:
-        """Flat counters for the ``serve.batch.*`` metrics family."""
-        return {
-            "batch.simulate_flushes": float(self.simulate_flushes),
-            "batch.simulate_requests": float(self.simulate_requests),
-            "batch.simulate_fused": float(self.simulate_fused),
         }

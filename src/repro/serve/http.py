@@ -63,7 +63,7 @@ from ..obs.export import (
 )
 from ..obs.profiling import PhaseProfiler
 from ..obs.spans import SpanTracer, span_to_json_line
-from .batch import MicroBatcher, SimulateBatcher
+from .batch import MicroBatcher
 from .cache import ServeCache
 from .service import ServeConfig, ThermalService, metric_label
 
@@ -175,15 +175,6 @@ class ThermalServer:
             self.cache.tracer = self.tracer
         self.batcher = MicroBatcher(
             self.config.batch_window_s, tracer=self.tracer
-        )
-        # /v1/simulate bursts coalesce one tick's requests and fuse their
-        # thermal stepping (repro.sim.batch); parallel.batch.* gauges
-        # land in the server registry, never a simulation's own metrics
-        self.sim_batcher = SimulateBatcher(
-            self.service,
-            self.config.batch_window_s,
-            tracer=self.tracer,
-            metrics=self.registry,
         )
         self._server: Optional[asyncio.base_events.Server] = None
         #: bound TCP port, available after :meth:`start` (ephemeral-port
@@ -420,7 +411,7 @@ class ThermalServer:
             return await self._tau(body)
         if path == "/v1/simulate":
             _require(method, "POST")
-            return await self._simulate(body)
+            return self._simulate(body)
         raise _HttpError(404, f"no route {path!r}")
 
     # -- endpoint bodies -----------------------------------------------------
@@ -497,25 +488,22 @@ class ThermalServer:
         peaks = await self.batcher.evaluate_many(tenant.calculator, seqs, taus_s)
         return _json_response(self.service.tau_payload(tenant, peaks, taus_s))
 
-    async def _simulate(
-        self, body: bytes
-    ) -> Tuple[int, bytes, Dict[str, str]]:
+    def _simulate(self, body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
         payload = _parse_json(body)
         tenant = self._tenant_for(payload, "simulate")
+        now_s = asyncio.get_running_loop().time()
         profiler = PhaseProfiler(enabled=True) if self.tracer.enabled else None
         try:
-            # concurrent requests coalesce in the SimulateBatcher and run
-            # with fused thermal stepping; each future resolves with its
-            # own request's summary or exception
-            summary = await self.sim_batcher.simulate(
-                tenant, payload, profiler
+            # plain 2-arg call when untraced: the service method (and any
+            # test double standing in for it) owes no profiler parameter
+            summary = _catch_400(
+                lambda: self.service.simulate(tenant, payload, profiler)
+                if profiler is not None
+                else self.service.simulate(tenant, payload)
             )
-        except ValueError as exc:
-            raise _HttpError(400, str(exc)) from exc
         except _HttpError:
             raise
         except Exception as exc:
-            now_s = asyncio.get_running_loop().time()
             mode = self.service.record_simulate_failure(tenant, now_s)
             self.registry.counter("serve.http.errors").inc()
             payload_bytes = _json_bytes(
@@ -543,8 +531,6 @@ class ThermalServer:
         for name, value in self.service.gauges().items():
             self.registry.gauge(name).set(value)
         for name, value in self.batcher.stats().items():
-            self.registry.gauge(f"serve.{name}").set(value)
-        for name, value in self.sim_batcher.stats().items():
             self.registry.gauge(f"serve.{name}").set(value)
         for name, value in self.tracer.stats().items():
             self.registry.gauge(f"serve.{name}").set(value)

@@ -480,18 +480,19 @@ class ThermalService:
 
     # -- /v1/simulate --------------------------------------------------------
 
-    def build_simulation(
+    def simulate(
         self,
         tenant: TenantState,
         payload: Dict[str, Any],
         profiler: Optional[PhaseProfiler] = None,
-    ) -> Tuple[IntervalSimulator, float, int]:
-        """Phase 1 of ``/v1/simulate``: validate and construct.
+    ) -> Dict[str, Any]:
+        """Run a bounded-horizon simulation and summarize the trace.
 
-        Returns the ready (unstarted) simulator, the clamped horizon and
-        the submitted task count.  Split from :meth:`simulate` so
-        :meth:`simulate_many` can build a whole burst first and fuse the
-        runs' thermal stepping.
+        The horizon is clamped to ``ServeConfig.simulate_max_time_s``:
+        the server is single-threaded by design (``docs/serve.md``), so
+        one tenant must not be able to monopolize the loop.  A
+        ``profiler`` threads engine phase timings out to the caller (the
+        HTTP layer turns them into child spans of the request).
         """
         spec = payload.get("workload")
         if not isinstance(spec, dict):
@@ -515,21 +516,12 @@ class ThermalService:
         simulator = IntervalSimulator(
             tenant.config, factory(), tasks, ctx=ctx, observer=observer
         )
-        return simulator, horizon_s, len(tasks)
-
-    def summarize_simulation(
-        self,
-        tenant: TenantState,
-        result,
-        horizon_s: float,
-        tasks_submitted: int,
-    ) -> Dict[str, Any]:
-        """Phase 2 of ``/v1/simulate``: the response body for one run."""
+        result = simulator.run(max_time_s=horizon_s)
         summary: Dict[str, Any] = {
             "scheduler": result.scheduler_name,
             "sim_time_s": result.sim_time_s,
             "horizon_s": horizon_s,
-            "tasks_submitted": tasks_submitted,
+            "tasks_submitted": len(tasks),
             "tasks_completed": len(result.tasks),
             "dtm_triggers": result.dtm_triggers,
             "dtm_core_time_s": result.dtm_core_time_s,
@@ -546,126 +538,6 @@ class ThermalService:
                 tenant.config.thermal.dtm_threshold_c
             )
         return summary
-
-    def simulate(
-        self,
-        tenant: TenantState,
-        payload: Dict[str, Any],
-        profiler: Optional[PhaseProfiler] = None,
-    ) -> Dict[str, Any]:
-        """Run a bounded-horizon simulation and summarize the trace.
-
-        The horizon is clamped to ``ServeConfig.simulate_max_time_s``:
-        the server is single-threaded by design (``docs/serve.md``), so
-        one tenant must not be able to monopolize the loop.  A
-        ``profiler`` threads engine phase timings out to the caller (the
-        HTTP layer turns them into child spans of the request).
-        """
-        simulator, horizon_s, n_tasks = self.build_simulation(
-            tenant, payload, profiler
-        )
-        result = simulator.run(max_time_s=horizon_s)
-        return self.summarize_simulation(tenant, result, horizon_s, n_tasks)
-
-    def simulate_many(
-        self,
-        items: Sequence[Tuple[TenantState, Dict[str, Any]]],
-        profilers: Optional[Sequence[Optional[PhaseProfiler]]] = None,
-        metrics=None,
-    ) -> List[Tuple[str, Any]]:
-        """Run a burst of ``/v1/simulate`` requests with fused stepping.
-
-        Builds every request's simulator first, groups the runs by shared
-        eigenbasis (tenants whose configs share a
-        :class:`~repro.thermal.matex.ThermalDynamics` via the
-        :class:`~repro.serve.cache.ServeCache`), and lock-steps each group
-        through one :class:`~repro.sim.batch.BatchedSimulatorSet` — the
-        responses are byte-identical to sequential :meth:`simulate` calls.
-        Returns one ``("ok", summary)`` or ``("error", exception)`` pair
-        per request, in order; one request's failure never poisons the
-        others (a failing fused group is re-run request-by-request to
-        attribute the failure).  ``metrics`` receives the
-        ``parallel.batch.*`` gauges.
-        """
-        from ..sim.batch import BatchedSimulatorSet
-
-        if len(items) == 1:
-            # single request: go through simulate() itself, so test
-            # doubles and subclass overrides of it keep working (and the
-            # plain 2-arg call when untraced keeps their signatures small)
-            tenant, payload = items[0]
-            profiler = profilers[0] if profilers is not None else None
-            try:
-                summary = (
-                    self.simulate(tenant, payload, profiler)
-                    if profiler is not None
-                    else self.simulate(tenant, payload)
-                )
-            except Exception as exc:
-                return [("error", exc)]
-            return [("ok", summary)]
-
-        outcomes: List[Optional[Tuple[str, Any]]] = [None] * len(items)
-        built: List[Tuple[int, IntervalSimulator, float, int]] = []
-        for index, (tenant, payload) in enumerate(items):
-            profiler = profilers[index] if profilers is not None else None
-            try:
-                simulator, horizon_s, n_tasks = self.build_simulation(
-                    tenant, payload, profiler
-                )
-            except Exception as exc:
-                outcomes[index] = ("error", exc)
-            else:
-                built.append((index, simulator, horizon_s, n_tasks))
-
-        groups: Dict[int, List[Tuple[int, IntervalSimulator, float, int]]] = {}
-        for entry in built:
-            groups.setdefault(id(entry[1].ctx.dynamics), []).append(entry)
-        for members in groups.values():
-            if len(members) == 1:
-                index, simulator, horizon_s, n_tasks = members[0]
-                tenant = items[index][0]
-                try:
-                    result = simulator.run(max_time_s=horizon_s)
-                    outcomes[index] = (
-                        "ok",
-                        self.summarize_simulation(
-                            tenant, result, horizon_s, n_tasks
-                        ),
-                    )
-                except Exception as exc:
-                    outcomes[index] = ("error", exc)
-                continue
-            try:
-                batch = BatchedSimulatorSet(
-                    [sim for _, sim, _, _ in members], metrics=metrics
-                )
-                results = batch.run_all([h for _, _, h, _ in members])
-            except Exception:
-                # attribute the failure: re-run each request solo from a
-                # fresh simulator (the fused ones are partially stepped)
-                for index, _, _, _ in members:
-                    tenant, payload = items[index]
-                    profiler = (
-                        profilers[index] if profilers is not None else None
-                    )
-                    try:
-                        outcomes[index] = (
-                            "ok", self.simulate(tenant, payload, profiler)
-                        )
-                    except Exception as exc:
-                        outcomes[index] = ("error", exc)
-                continue
-            for (index, _, horizon_s, n_tasks), result in zip(
-                members, results
-            ):
-                outcomes[index] = (
-                    "ok",
-                    self.summarize_simulation(
-                        items[index][0], result, horizon_s, n_tasks
-                    ),
-                )
-        return outcomes
 
     def _workload_specs(self, tenant: TenantState, spec: Dict[str, Any]):
         kind = spec.get("kind", "homogeneous")

@@ -1,6 +1,5 @@
 """Interval thermal simulation substrate (HotSniper analogue)."""
 
-from .batch import BatchedSimulatorSet
 from .context import SimContext
 from .dtm import DtmController
 from .engine import IntervalSimulator
@@ -20,7 +19,6 @@ from .metrics import SimulationResult, TaskRecord
 from .migration import MigrationAccountant
 
 __all__ = [
-    "BatchedSimulatorSet",
     "DtmController",
     "DtmEngaged",
     "DtmReleased",

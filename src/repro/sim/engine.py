@@ -72,29 +72,6 @@ from .migration import MigrationAccountant
 _TIME_EPS = 1e-12
 
 
-class IntervalPlan:
-    """One prepared interval, ready for its thermal step.
-
-    The interval loop is split into *prepare* (arrivals, decision, DTM,
-    execution, power map) -> *thermal step* -> *complete* (energy, traces,
-    completions) so a batched driver
-    (:class:`~repro.sim.batch.BatchedSimulatorSet`) can own the middle
-    phase and fuse it across many simulators.  ``kind`` is ``"active"``
-    for a scheduled interval or ``"idle"`` for a fast-forward gap between
-    arrivals.
-    """
-
-    __slots__ = ("kind", "start_s", "dt_s", "power_w", "decision", "freqs")
-
-    def __init__(self, kind, start_s, dt_s, power_w, decision, freqs):
-        self.kind = kind
-        self.start_s = start_s
-        self.dt_s = dt_s
-        self.power_w = power_w
-        self.decision = decision
-        self.freqs = freqs
-
-
 class _PowerHistory:
     """Sliding-window average power per thread (paper: last 10 ms)."""
 
@@ -365,350 +342,259 @@ class IntervalSimulator:
 
     def run(self, max_time_s: float = 10.0) -> SimulationResult:
         """Simulate until all tasks finish (or ``max_time_s`` elapses)."""
-        self.begin_run(max_time_s)
-        return self.drive_to_completion()
-
-    def drive_to_completion(self) -> SimulationResult:
-        """Drive the phase loop until no intervals remain, then finalize.
-
-        Requires a prior :meth:`begin_run`.  The batched sweep driver
-        calls this on a cell after detaching it from the batch — the
-        re-adopted scalar state continues the run byte-identically.
-        """
-        while True:
-            plan = self.prepare_interval()
-            if plan is None:
-                break
-            self.step_thermal(plan)
-            self.complete_interval(plan)
-        return self.finalize()
-
-    # -- phase API (run == begin_run + [prepare/step/complete]* + finalize) ---
-
-    def begin_run(self, max_time_s: float = 10.0) -> None:
-        """Phase 0: reset the per-run accumulators, record the initial trace.
-
-        The phase split (``begin_run`` -> repeated :meth:`prepare_interval`
-        / :meth:`step_thermal` / :meth:`complete_interval` ->
-        :meth:`finalize`) exists so
-        :class:`~repro.sim.batch.BatchedSimulatorSet` can interleave many
-        simulators and fuse their thermal steps; :meth:`run` drives the
-        same phases for the solo case.
-        """
-        self._max_time_s = max_time_s
-        self._run_trace = (
-            ThermalTrace(self.ctx.n_cores) if self.record_trace else None
-        )
-        self._run_records: List[TaskRecord] = []
-        self._run_energy_j = 0.0
-        #: per-core energy integral [J] (energy accounting, docs/traffic.md)
-        self._energy_per_core_j = np.zeros(self.ctx.n_cores)
-        #: instructions retired across all threads (J/instruction metric)
-        self._instructions_retired = 0.0
-        self._now = 0.0
-        self._idle_power = self.ctx.power_model.idle_power_w()
-        if self._run_trace is not None:
-            self._run_trace.record(self._now, self._core_temps())
-
-    @property
-    def finished(self) -> bool:
-        """True once no interval remains (tasks done or horizon reached)."""
-        return not (
-            (self._pending or self._running)
-            and self._now < self._max_time_s - _TIME_EPS
-        )
-
-    @property
-    def thermal_state(self):
-        """The live thermal state (scalar, or a batch-cell view)."""
-        return self._state
-
-    def adopt_thermal_state(self, state) -> None:
-        """Swap the thermal state object — the batched-state injection point.
-
-        The replacement must expose the :class:`SpectralThermalState`
-        read interface (``core_temperatures``/``node_temperatures``) plus
-        ``step`` when this simulator keeps driving itself; the batched
-        driver installs a batch-cell view whose stepping happens in the
-        fused batch instead, and re-adopts a scalar state on detach.
-        """
-        self._state = state
-
-    def prepare_interval(self) -> Optional[IntervalPlan]:
-        """Phases 1-6: arrivals, decision, DTM, execution, power map.
-
-        Returns the prepared interval, or ``None`` when the run is over.
-        The caller must follow with :meth:`step_thermal` (or a fused
-        batch step) and :meth:`complete_interval`.
-        """
         cfg = self.config
-        now = self._now
-        if not (
-            (self._pending or self._running)
-            and now < self._max_time_s - _TIME_EPS
-        ):
-            return None
+        trace = ThermalTrace(self.ctx.n_cores) if self.record_trace else None
+        records: List[TaskRecord] = []
+        energy_j = 0.0
+        # per-core energy integral [J] (energy accounting, docs/traffic.md)
+        energy_per_core_j = np.zeros(self.ctx.n_cores)
+        # instructions retired across all threads (J/instruction metric)
+        instructions_retired = 0.0
+        now = 0.0
+        idle_power = self.ctx.power_model.idle_power_w()
 
-        # 1. arrivals due now
-        while self._pending and self._pending[0].arrival_time_s <= now + _TIME_EPS:
-            task = self._pending.popleft()
-            self._running.append(task)
-            self._timed_scheduler_call(
-                self.scheduler.on_task_arrival, task, now
-            )
-            if self._metrics is not None:
-                self._metrics.counter("engine.tasks.arrived").inc()
-            if self.events is not None:
-                self.events.record(
-                    TaskArrived(
-                        now,
-                        task.task_id,
-                        task.profile.name,
-                        task.n_threads,
-                        task.deadline_time_s,
-                    )
+        if trace is not None:
+            trace.record(now, self._core_temps())
+
+        while (self._pending or self._running) and now < max_time_s - _TIME_EPS:
+            # 1. arrivals due now
+            while self._pending and self._pending[0].arrival_time_s <= now + _TIME_EPS:
+                task = self._pending.popleft()
+                self._running.append(task)
+                self._timed_scheduler_call(
+                    self.scheduler.on_task_arrival, task, now
                 )
-
-        if not self._running:
-            # idle gap until the next arrival: fast-forward thermally
-            next_arrival = self._pending[0].arrival_time_s
-            gap = min(next_arrival, self._max_time_s) - now
-            idle_vec = np.full(self.ctx.n_cores, self._idle_power)
-            return IntervalPlan("idle", now, gap, idle_vec, None, None)
-
-        # 2. interval length: scheduler preference, base interval, next arrival
-        dt = cfg.sim_interval_s
-        preferred = self.scheduler.preferred_interval_s()
-        if preferred is not None:
-            dt = min(dt, preferred)
-        if self._pending:
-            until_arrival = self._pending[0].arrival_time_s - now
-            if _TIME_EPS < until_arrival < dt:
-                dt = until_arrival
-
-        # 2b. fault injection: draw this interval's fault episodes
-        # against ground truth before the scheduler looks at anything
-        if self._injector is not None:
-            for event in self._injector.advance(now, self._core_temps()):
+                if self._metrics is not None:
+                    self._metrics.counter("engine.tasks.arrived").inc()
                 if self.events is not None:
-                    self.events.record(event)
-            self._dtm.set_stuck(self._injector.stuck_mask())
-
-        # 3. scheduler decision
-        if self._profiler is not None:
-            token = self._profiler.begin("scheduler.decide")
-            decision = self._timed_scheduler_call(
-                self.scheduler.decide, now, metric="decision"
-            )
-            self._profiler.end("scheduler.decide", token)
-        else:
-            decision = self._timed_scheduler_call(
-                self.scheduler.decide, now, metric="decision"
-            )
-        self._validate(decision)
-        if self._injector is not None:
-            decision = self._apply_faults(decision, now)
-        if self._recorder is not None:
-            self._track_epoch(now, decision.tau_s)
-        moves = self._accountant.charge_moves(
-            self._prev_placements, decision.placements
-        )
-        if self.events is not None:
-            for thread, src, dst in moves:
-                self.events.record(
-                    ThreadMigrated(
-                        now,
-                        thread,
-                        src,
-                        dst,
-                        self.ctx.migration.migration_penalty_s(src, dst),
+                    self.events.record(
+                        TaskArrived(
+                            now,
+                            task.task_id,
+                            task.profile.name,
+                            task.n_threads,
+                            task.deadline_time_s,
+                        )
                     )
+
+            if not self._running:
+                # idle gap until the next arrival: fast-forward thermally
+                next_arrival = self._pending[0].arrival_time_s
+                gap = min(next_arrival, max_time_s) - now
+                idle_vec = np.full(self.ctx.n_cores, idle_power)
+                self._state.step(idle_vec, gap)
+                energy_j += idle_power * self.ctx.n_cores * gap
+                energy_per_core_j += idle_vec * gap
+                now += gap
+                if trace is not None:
+                    trace.record(now, self._core_temps())
+                if self._recorder is not None:
+                    self._recorder.record_interval(
+                        time_s=now - gap,
+                        dt_s=gap,
+                        placements={},
+                        power_w=idle_vec,
+                        temps_c=self._core_temps(),
+                        frequencies_hz=np.full(
+                            self.ctx.n_cores, cfg.dvfs.f_max_hz
+                        ),
+                        dtm_throttled=np.nonzero(self._dtm.throttled)[0],
+                    )
+                continue
+
+            # 2. interval length: scheduler preference, base interval, next arrival
+            dt = cfg.sim_interval_s
+            preferred = self.scheduler.preferred_interval_s()
+            if preferred is not None:
+                dt = min(dt, preferred)
+            if self._pending:
+                until_arrival = self._pending[0].arrival_time_s - now
+                if _TIME_EPS < until_arrival < dt:
+                    dt = until_arrival
+
+            # 2b. fault injection: draw this interval's fault episodes
+            # against ground truth before the scheduler looks at anything
+            if self._injector is not None:
+                for event in self._injector.advance(now, self._core_temps()):
+                    if self.events is not None:
+                        self.events.record(event)
+                self._dtm.set_stuck(self._injector.stuck_mask())
+
+            # 3. scheduler decision
+            if self._profiler is not None:
+                token = self._profiler.begin("scheduler.decide")
+                decision = self._timed_scheduler_call(
+                    self.scheduler.decide, now, metric="decision"
                 )
-        if self._metrics is not None and moves:
-            self._metrics.counter("engine.migrations").inc(len(moves))
-            for _, _, dst in moves:
-                ring = self.ctx.rings.ring_of(dst)
-                self._metrics.counter(
-                    f"engine.migrations.to_ring.{ring}"
-                ).inc()
-        self._prev_placements = dict(decision.placements)
-
-        # 4. DTM
-        if self.dtm_enabled:
-            before = self._dtm.throttled.copy()
-            temps_now = self._core_temps()
-            after = self._dtm.update(temps_now)
+                self._profiler.end("scheduler.decide", token)
+            else:
+                decision = self._timed_scheduler_call(
+                    self.scheduler.decide, now, metric="decision"
+                )
+            self._validate(decision)
+            if self._injector is not None:
+                decision = self._apply_faults(decision, now)
+            if self._recorder is not None:
+                self._track_epoch(now, decision.tau_s)
+            moves = self._accountant.charge_moves(
+                self._prev_placements, decision.placements
+            )
             if self.events is not None:
-                for core in np.nonzero(after & ~before)[0]:
+                for thread, src, dst in moves:
                     self.events.record(
-                        DtmEngaged(now, int(core), float(temps_now[core]))
+                        ThreadMigrated(
+                            now,
+                            thread,
+                            src,
+                            dst,
+                            self.ctx.migration.migration_penalty_s(src, dst),
+                        )
                     )
-                for core in np.nonzero(before & ~after)[0]:
-                    self.events.record(
-                        DtmReleased(now, int(core), float(temps_now[core]))
-                    )
-            if self._metrics is not None:
-                engaged = int(np.count_nonzero(after & ~before))
-                released = int(np.count_nonzero(before & ~after))
-                if engaged:
-                    self._metrics.counter("engine.dtm.engaged").inc(engaged)
-                if released:
-                    self._metrics.counter("engine.dtm.released").inc(released)
-            freqs = self._dtm.apply(decision.frequencies, dt)
-        else:
-            freqs = np.asarray(decision.frequencies, dtype=float)
+            if self._metrics is not None and moves:
+                self._metrics.counter("engine.migrations").inc(len(moves))
+                for _, _, dst in moves:
+                    ring = self.ctx.rings.ring_of(dst)
+                    self._metrics.counter(
+                        f"engine.migrations.to_ring.{ring}"
+                    ).inc()
+            self._prev_placements = dict(decision.placements)
 
-        # 5. execution + 6. power map
-        power_token = (
-            self._profiler.begin("power_map.build")
-            if self._profiler is not None
-            else 0.0
-        )
-        power = np.full(self.ctx.n_cores, self._idle_power)
-        for thread_id, core in decision.placements.items():
-            task, index = self._thread_of(thread_id)
-            profile = task.profile
-            f_hz = float(freqs[core])
-            exec_time = self._accountant.consume_debt(thread_id, dt)
-            migration_time = dt - exec_time
-            tpi = self.ctx.perf.time_per_instruction_s(profile, core, f_hz)
-            wanted = exec_time / tpi
-            retired = task.advance(index, wanted)
-            self._instructions_retired += retired
-            busy_time = retired * tpi
-            compute_b, stall_b = self.ctx.perf.activity_fractions(
-                profile, core, f_hz
+            # 4. DTM
+            if self.dtm_enabled:
+                before = self._dtm.throttled.copy()
+                temps_now = self._core_temps()
+                after = self._dtm.update(temps_now)
+                if self.events is not None:
+                    for core in np.nonzero(after & ~before)[0]:
+                        self.events.record(
+                            DtmEngaged(now, int(core), float(temps_now[core]))
+                        )
+                    for core in np.nonzero(before & ~after)[0]:
+                        self.events.record(
+                            DtmReleased(now, int(core), float(temps_now[core]))
+                        )
+                if self._metrics is not None:
+                    engaged = int(np.count_nonzero(after & ~before))
+                    released = int(np.count_nonzero(before & ~after))
+                    if engaged:
+                        self._metrics.counter("engine.dtm.engaged").inc(engaged)
+                    if released:
+                        self._metrics.counter("engine.dtm.released").inc(released)
+                freqs = self._dtm.apply(decision.frequencies, dt)
+            else:
+                freqs = np.asarray(decision.frequencies, dtype=float)
+
+            # 5. execution + 6. power map
+            power_token = (
+                self._profiler.begin("power_map.build")
+                if self._profiler is not None
+                else 0.0
             )
-            # migration debt keeps the memory system busy (refills)
-            compute_frac = compute_b * busy_time / dt
-            stall_frac = stall_b * busy_time / dt + migration_time / dt
-            power[core] = self.ctx.power_model.core_power_w(
-                profile.p_dyn_ref_w, f_hz, compute_frac, stall_frac
-            )
-            self._history.record(thread_id, now, power[core], dt)
-            stack = self._breakdown.setdefault(thread_id, TimeBreakdown())
-            stack.compute_s += compute_b * busy_time
-            stack.stall_s += stall_b * busy_time
-            stack.migration_s += migration_time
-            stack.wait_s += exec_time - busy_time
-        for thread_id in decision.waiting:
-            stack = self._breakdown.setdefault(thread_id, TimeBreakdown())
-            stack.queued_s += dt
-        if self._profiler is not None:
-            self._profiler.end("power_map.build", power_token)
-        if self._injector is not None:
-            # transient power spikes are ground truth: they heat the
-            # silicon and count toward the energy budget
-            power = self._injector.perturb_power(power)
+            power = np.full(self.ctx.n_cores, idle_power)
+            for thread_id, core in decision.placements.items():
+                task, index = self._thread_of(thread_id)
+                profile = task.profile
+                f_hz = float(freqs[core])
+                exec_time = self._accountant.consume_debt(thread_id, dt)
+                migration_time = dt - exec_time
+                tpi = self.ctx.perf.time_per_instruction_s(profile, core, f_hz)
+                wanted = exec_time / tpi
+                retired = task.advance(index, wanted)
+                instructions_retired += retired
+                busy_time = retired * tpi
+                compute_b, stall_b = self.ctx.perf.activity_fractions(
+                    profile, core, f_hz
+                )
+                # migration debt keeps the memory system busy (refills)
+                compute_frac = compute_b * busy_time / dt
+                stall_frac = stall_b * busy_time / dt + migration_time / dt
+                power[core] = self.ctx.power_model.core_power_w(
+                    profile.p_dyn_ref_w, f_hz, compute_frac, stall_frac
+                )
+                self._history.record(thread_id, now, power[core], dt)
+                stack = self._breakdown.setdefault(thread_id, TimeBreakdown())
+                stack.compute_s += compute_b * busy_time
+                stack.stall_s += stall_b * busy_time
+                stack.migration_s += migration_time
+                stack.wait_s += exec_time - busy_time
+            for thread_id in decision.waiting:
+                stack = self._breakdown.setdefault(thread_id, TimeBreakdown())
+                stack.queued_s += dt
+            if self._profiler is not None:
+                self._profiler.end("power_map.build", power_token)
+            if self._injector is not None:
+                # transient power spikes are ground truth: they heat the
+                # silicon and count toward the energy budget
+                power = self._injector.perturb_power(power)
 
-        return IntervalPlan("active", now, dt, power, decision, freqs)
-
-    def step_thermal(self, plan: IntervalPlan) -> None:
-        """Phase 7: exact thermal step (eigenbasis-resident: O(N) decay +
-        O(N n) steady-coefficient update, no dense matrices)."""
-        if plan.kind == "active" and self._profiler is not None:
-            step_token = self._profiler.begin("thermal.step")
-            self._state.step(plan.power_w, plan.dt_s)
-            self._profiler.end("thermal.step", step_token)
-        else:
-            self._state.step(plan.power_w, plan.dt_s)
-
-    def complete_interval(self, plan: IntervalPlan) -> None:
-        """Phases 7b-8: energy/trace accounting, barriers and completions.
-
-        Assumes the thermal state has just advanced by ``plan.dt_s`` —
-        either via :meth:`step_thermal` or a fused batch step.
-        """
-        cfg = self.config
-        trace = self._run_trace
-        dt = plan.dt_s
-
-        if plan.kind == "idle":
-            self._run_energy_j += self._idle_power * self.ctx.n_cores * dt
-            self._energy_per_core_j += plan.power_w * dt
-            self._now += dt
-            now = self._now
+            # 7. exact thermal step (eigenbasis-resident: O(N) decay +
+            # O(N n) steady-coefficient update, no dense matrices)
+            if self._profiler is not None:
+                step_token = self._profiler.begin("thermal.step")
+                self._state.step(power, dt)
+                self._profiler.end("thermal.step", step_token)
+            else:
+                self._state.step(power, dt)
+            energy_j += float(np.sum(power)) * dt
+            energy_per_core_j += power * dt
+            now += dt
             if trace is not None:
                 trace.record(now, self._core_temps())
+            if self._metrics is not None:
+                self._metrics.counter("engine.intervals").inc()
             if self._recorder is not None:
                 self._recorder.record_interval(
                     time_s=now - dt,
                     dt_s=dt,
-                    placements={},
-                    power_w=plan.power_w,
+                    placements=decision.placements,
+                    power_w=power,
                     temps_c=self._core_temps(),
-                    frequencies_hz=np.full(
-                        self.ctx.n_cores, cfg.dvfs.f_max_hz
-                    ),
+                    frequencies_hz=freqs,
                     dtm_throttled=np.nonzero(self._dtm.throttled)[0],
                 )
-            return
 
-        decision = plan.decision
-        power = plan.power_w
-        self._run_energy_j += float(np.sum(power)) * dt
-        self._energy_per_core_j += power * dt
-        self._now += dt
-        now = self._now
-        if trace is not None:
-            trace.record(now, self._core_temps())
-        if self._metrics is not None:
-            self._metrics.counter("engine.intervals").inc()
-        if self._recorder is not None:
-            self._recorder.record_interval(
-                time_s=now - dt,
-                dt_s=dt,
-                placements=decision.placements,
-                power_w=power,
-                temps_c=self._core_temps(),
-                frequencies_hz=plan.freqs,
-                dtm_throttled=np.nonzero(self._dtm.throttled)[0],
-            )
-
-        # 8. barriers and completions
-        finished: List[Task] = []
-        for task in self._running:
-            task.try_advance_phase()
-            if task.complete:
-                finished.append(task)
-        for task in finished:
-            task.mark_complete(now)
-            self._running.remove(task)
-            for thread in task.threads:
-                self._prev_placements.pop(thread.thread_id, None)
-                self._accountant.forget(thread.thread_id)
-                self._history.forget(thread.thread_id)
-            self._timed_scheduler_call(
-                self.scheduler.on_task_complete, task, now
-            )
-            if self._metrics is not None:
-                self._metrics.counter("engine.tasks.completed").inc()
-                # deterministic (sim-time) response-time distribution:
-                # p50/p99 are published as gauges at finalize
-                self._metrics.histogram("engine.response_time_s").observe(
-                    now - task.arrival_time_s
+            # 8. barriers and completions
+            finished: List[Task] = []
+            for task in self._running:
+                task.try_advance_phase()
+                if task.complete:
+                    finished.append(task)
+            for task in finished:
+                task.mark_complete(now)
+                self._running.remove(task)
+                for thread in task.threads:
+                    self._prev_placements.pop(thread.thread_id, None)
+                    self._accountant.forget(thread.thread_id)
+                    self._history.forget(thread.thread_id)
+                self._timed_scheduler_call(
+                    self.scheduler.on_task_complete, task, now
                 )
-            self._run_records.append(
-                TaskRecord(
-                    task_id=task.task_id,
-                    benchmark=task.profile.name,
-                    n_threads=task.n_threads,
-                    arrival_s=task.arrival_time_s,
-                    completion_s=now,
-                )
-            )
-            if self.events is not None:
-                self.events.record(
-                    TaskCompleted(
-                        now,
-                        task.task_id,
-                        task.profile.name,
-                        now - task.arrival_time_s,
+                if self._metrics is not None:
+                    self._metrics.counter("engine.tasks.completed").inc()
+                    # deterministic (sim-time) response-time distribution:
+                    # p50/p99 are published as gauges after the loop
+                    self._metrics.histogram("engine.response_time_s").observe(
+                        now - task.arrival_time_s
+                    )
+                records.append(
+                    TaskRecord(
+                        task_id=task.task_id,
+                        benchmark=task.profile.name,
+                        n_threads=task.n_threads,
+                        arrival_s=task.arrival_time_s,
+                        completion_s=now,
                     )
                 )
+                if self.events is not None:
+                    self.events.record(
+                        TaskCompleted(
+                            now,
+                            task.task_id,
+                            task.profile.name,
+                            now - task.arrival_time_s,
+                        )
+                    )
 
-    def finalize(self) -> SimulationResult:
-        """Publish end-of-run gauges and assemble the result."""
         if self._metrics is not None:
             for key, value in self.ctx.dynamics.cache_stats().items():
                 self._metrics.gauge(f"thermal.{key}").set(value)
@@ -719,21 +605,19 @@ class IntervalSimulator:
                     self._metrics.gauge(f"faults.{key}").set(value)
             # energy accounting (docs/traffic.md): total, EDP, J/instr,
             # and the per-core spread of the energy integral
-            self._metrics.gauge("energy.total_j").set(self._run_energy_j)
-            self._metrics.gauge("energy.edp_js").set(
-                self._run_energy_j * self._now
-            )
-            if self._instructions_retired > 0:
+            self._metrics.gauge("energy.total_j").set(energy_j)
+            self._metrics.gauge("energy.edp_js").set(energy_j * now)
+            if instructions_retired > 0:
                 self._metrics.gauge("energy.j_per_instruction").set(
-                    self._run_energy_j / self._instructions_retired
+                    energy_j / instructions_retired
                 )
             self._metrics.gauge("energy.per_core_max_j").set(
-                float(np.max(self._energy_per_core_j))
+                float(np.max(energy_per_core_j))
             )
             self._metrics.gauge("energy.per_core_mean_j").set(
-                float(np.mean(self._energy_per_core_j))
+                float(np.mean(energy_per_core_j))
             )
-            if self._run_records:
+            if records:
                 response = self._metrics.histogram("engine.response_time_s")
                 self._metrics.gauge("engine.response_time_p50_s").set(
                     response.quantile(0.5)
@@ -748,16 +632,16 @@ class IntervalSimulator:
 
         return SimulationResult(
             scheduler_name=self.scheduler.name,
-            sim_time_s=self._now,
-            tasks=sorted(self._run_records, key=lambda r: r.task_id),
-            trace=self._run_trace,
+            sim_time_s=now,
+            tasks=sorted(records, key=lambda r: r.task_id),
+            trace=trace,
             dtm_triggers=self._dtm.trigger_count,
             dtm_core_time_s=self._dtm.throttled_core_time_s,
             migration_count=self._accountant.migration_count,
             migration_penalty_s=self._accountant.total_penalty_s,
-            energy_j=self._run_energy_j,
-            energy_per_core_j=[float(e) for e in self._energy_per_core_j],
-            instructions_retired=self._instructions_retired,
+            energy_j=energy_j,
+            energy_per_core_j=[float(e) for e in energy_per_core_j],
+            instructions_retired=instructions_retired,
             scheduler_wall_time_s=self._sched_wall_s,
             scheduler_invocations=self._sched_calls,
             time_breakdown=dict(self._breakdown),

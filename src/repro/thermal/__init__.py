@@ -4,7 +4,6 @@ This package implements the paper's Section III-B thermal model and the
 transient machinery its peak-temperature method (Section IV) builds on.
 """
 
-from .batched_state import BatchedSpectralState
 from .calibrate import (
     HOT_THREAD_POWER_W,
     MOTIVATIONAL_PEAK_C,
@@ -26,7 +25,6 @@ from .steady_state import (
 from .trace import ThermalTrace
 
 __all__ = [
-    "BatchedSpectralState",
     "CoreBlock",
     "Floorplan",
     "MaterialStack",

@@ -80,50 +80,6 @@ class SpectralThermalState:
         self._node_cache = node_temps_c.copy()
         self._node_cache.flags.writeable = False
 
-    @classmethod
-    def from_coefficients(
-        cls,
-        dynamics: ThermalDynamics,
-        ambient_c: float,
-        coefficients: np.ndarray,
-        steps: int = 0,
-    ) -> "SpectralThermalState":
-        """Build a state directly from eigen-coefficients (no re-projection).
-
-        The bit-exact transfer path: :meth:`BatchedSpectralState.detach
-        <repro.thermal.batched_state.BatchedSpectralState.detach>` hands a
-        cell's coefficient row straight back to a scalar state without a
-        temperature round-trip, so the detached state continues the exact
-        same trajectory byte for byte.
-        """
-        coefficients = np.asarray(coefficients, dtype=float)
-        if coefficients.shape != (dynamics.model.n_nodes,):
-            raise ValueError(
-                f"expected {dynamics.model.n_nodes} coefficients, "
-                f"got shape {coefficients.shape}"
-            )
-        state = cls.__new__(cls)
-        state.dynamics = dynamics
-        state.ambient_c = float(ambient_c)
-        state._n_cores = dynamics.model.n_cores
-        state._coeffs = coefficients.copy()
-        state._core_cache = None
-        state._node_cache = None
-        state.steps = int(steps)
-        return state
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """The current eigen-coefficients (read-only view; one per node).
-
-        A frozen (``writeable=False``) view like the lazy projections — not
-        a fresh copy — so hot-loop readers pay nothing and accidental
-        in-place edits fail loudly instead of corrupting the state.
-        """
-        view = self._coeffs.view()
-        view.flags.writeable = False
-        return view
-
     # -- stepping ------------------------------------------------------------
 
     def step(self, core_power_w: np.ndarray, tau_s: float) -> None:

@@ -40,6 +40,7 @@ fig4a.run(
     work_scale={work_scale},
     max_time_s={max_time_s},
     checkpoint_path={path!r},
+    jobs={jobs!r},
 )
 """
 
@@ -79,6 +80,17 @@ def _count_lines(path):
 
 
 def test_sigkill_resume_reproduces_uninterrupted_run(tmp_path):
+    _kill_and_resume(tmp_path, jobs=1)
+
+
+def test_sigkill_resume_of_forked_sweep_reproduces_uninterrupted_run(
+    tmp_path,
+):
+    """The same guarantee when the killed sweep ran in a process pool."""
+    _kill_and_resume(tmp_path, jobs=2)
+
+
+def _kill_and_resume(tmp_path, jobs):
     ref_ckpt = tmp_path / "reference.jsonl"
     crash_ckpt = tmp_path / "crashed.jsonl"
 
@@ -92,11 +104,15 @@ def test_sigkill_resume_reproduces_uninterrupted_run(tmp_path):
         work_scale=_WORK_SCALE,
         max_time_s=_MAX_TIME_S,
         path=str(crash_ckpt),
+        jobs=jobs,
     )
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[2] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    child = subprocess.Popen([sys.executable, "-c", script], env=env)
+    # own session, so the kill below takes any pool workers down with it
+    child = subprocess.Popen(
+        [sys.executable, "-c", script], env=env, start_new_session=True
+    )
     try:
         # wait for the first durably-checkpointed cell, then kill -9
         deadline = time.monotonic() + 120.0
@@ -108,11 +124,12 @@ def test_sigkill_resume_reproduces_uninterrupted_run(tmp_path):
             time.sleep(0.02)
         else:
             pytest.fail("child sweep never checkpointed a cell")
-        child.kill()  # SIGKILL: no cleanup, no atexit, no flush
+        # SIGKILL: no cleanup, no atexit, no flush
+        os.killpg(child.pid, signal.SIGKILL)
         child.wait(timeout=30)
     finally:
         if child.poll() is None:
-            child.kill()
+            os.killpg(child.pid, signal.SIGKILL)
             child.wait(timeout=30)
     assert child.returncode == -signal.SIGKILL
 

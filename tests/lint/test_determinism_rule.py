@@ -315,43 +315,3 @@ class TestTrafficPackageIsDeterministic:
             f for f in run_lint(sources) if f.family == "determinism"
         ]
         assert determinism == []
-
-
-class TestBatchedEngineIsDeterministic:
-    """The batched engine rides the sim/ and thermal/ scoping: a fused
-    sweep's whole contract is byte-identity with solo runs, so a wall
-    clock or global-RNG read in ``sim/batch.py`` or
-    ``thermal/batched_state.py`` is a determinism finding like any other
-    engine module's."""
-
-    def test_wallclock_in_sim_batch_fires(self, lint_files):
-        code = DOC + "import time\nround_started = time.time()\n"
-        findings = lint_files(
-            {"repro/sim/batch.py": code}, select="det-wallclock"
-        )
-        assert rule_ids(findings) == ["det-wallclock"]
-
-    def test_global_random_in_batched_state_fires(self, lint_files):
-        code = DOC + "import random\njitter = random.random()\n"
-        findings = lint_files(
-            {"repro/thermal/batched_state.py": code},
-            select="det-global-random",
-        )
-        assert rule_ids(findings) == ["det-global-random"]
-
-    def test_committed_batched_modules_are_clean(self):
-        from pathlib import Path
-
-        from repro.lint import run_lint
-
-        src = Path(__file__).resolve().parent.parent.parent / "src" / "repro"
-        sources = [
-            src / "sim" / "batch.py",
-            src / "thermal" / "batched_state.py",
-        ]
-        for source in sources:
-            assert source.exists(), source
-        determinism = [
-            f for f in run_lint(sources) if f.family == "determinism"
-        ]
-        assert determinism == []

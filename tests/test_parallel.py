@@ -6,10 +6,12 @@ ordered, and pool failures degrade to the serial path.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro import config
@@ -127,10 +129,11 @@ class TestParallelDeterminism:
     def test_jobs4_identical_to_serial(self, cfg, model):
         serial = run_cells(self._cells(cfg, model), jobs=1)
         parallel = run_cells(self._cells(cfg, model), jobs=4)
-        assert list(serial) == list(parallel)
+        auto = run_cells(self._cells(cfg, model), jobs="auto")
+        assert list(serial) == list(parallel) == list(auto)
         for key in serial:
             # byte-identical metrics, not merely approximately equal
-            assert serial[key] == parallel[key], key
+            assert serial[key] == parallel[key] == auto[key], key
 
     def test_repeated_serial_runs_identical(self, cfg, model):
         a = run_cells(self._cells(cfg, model), jobs=1)
@@ -357,141 +360,60 @@ class TestRunCellsCheckpointing:
         assert serial_path.read_bytes() == pool_path.read_bytes()
 
 
-def _sum_array(values, offset):
-    return float(np.sum(values)) + offset
-
-
-def _echo_runner(cells, on_done):
-    """Minimal vectorized policy: run each cell in-process."""
-    return [on_done(cell, cell.fn(**cell.kwargs)) for cell in cells]
-
-
-def _broken_runner(cells, on_done):
-    raise RuntimeError("cannot batch these cells")
-
-
 class TestResolvePolicy:
-    """The ``jobs`` argument maps to serial / vectorized / fork."""
-
-    def test_auto_prefers_vectorized_with_runner(self):
-        from repro.parallel import _resolve_policy
-
-        assert _resolve_policy("auto", 4, True) == ("vectorized", 1)
+    """The ``jobs`` argument maps to serial or fork."""
 
     def test_auto_single_cell_is_serial(self):
         from repro.parallel import _resolve_policy
 
-        assert _resolve_policy("auto", 1, True) == ("serial", 1)
-        assert _resolve_policy("auto", 0, False) == ("serial", 1)
+        assert _resolve_policy("auto", 1) == ("serial", 1)
+        assert _resolve_policy("auto", 0) == ("serial", 1)
 
-    def test_auto_without_runner_follows_core_count(self, monkeypatch):
+    def test_auto_follows_core_count(self, monkeypatch):
         import repro.parallel as parallel
 
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
-        assert parallel._resolve_policy("auto", 4, False) == ("fork", 4)
-        assert parallel._resolve_policy("auto", 16, False) == ("fork", 8)
+        assert parallel._resolve_policy("auto", 4) == ("fork", 4)
+        assert parallel._resolve_policy("auto", 16) == ("fork", 8)
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
-        assert parallel._resolve_policy("auto", 4, False) == ("serial", 1)
+        assert parallel._resolve_policy("auto", 4) == ("serial", 1)
 
     def test_explicit_jobs_keep_old_semantics(self):
         from repro.parallel import _resolve_policy
 
-        assert _resolve_policy(1, 4, True) == ("serial", 1)
-        assert _resolve_policy(3, 4, True) == ("fork", 3)
+        assert _resolve_policy(1, 4) == ("serial", 1)
+        assert _resolve_policy(3, 4) == ("fork", 3)
 
     def test_bad_string_rejected(self):
         from repro.parallel import _resolve_policy
 
         with pytest.raises(ValueError, match="auto"):
-            _resolve_policy("fast", 4, True)
+            _resolve_policy("fast", 4)
 
 
-class TestAutoPolicy:
-    def _cells(self):
-        return [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(4)]
+_UNPICKLABLE_SWEEP = """
+from repro.parallel import Cell, run_cells
 
-    def test_vectorized_equals_serial(self):
-        report = {}
-        auto = run_cells(
-            self._cells(),
-            jobs="auto",
-            batch_runner=_echo_runner,
-            report=report,
+def main():
+    def local(x):  # a local function cannot be pickled to a worker
+        return x * x
+
+    cells = [Cell(key=k, fn=local, kwargs={"x": k}) for k in range(4)]
+    print(sorted(run_cells(cells, jobs=2).items()))
+
+main()
+"""
+
+
+class TestUnpicklableCells:
+    def test_falls_back_to_serial_and_exits_cleanly(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", _UNPICKLABLE_SWEEP],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=30,
         )
-        assert auto == run_cells(self._cells(), jobs=1)
-        assert report["policy"] == "vectorized"
-        assert report["cells"] == 4
-
-    def test_runner_failure_falls_back_to_serial(self):
-        report = {}
-        results = run_cells(
-            self._cells(),
-            jobs="auto",
-            batch_runner=_broken_runner,
-            report=report,
-        )
-        assert results == {i: i * i for i in range(4)}
-        assert report["policy"] == "serial"
-        assert report["fallback_from"] == "vectorized"
-
-    def test_vectorized_results_round_trip_checkpoint(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        results = run_cells(
-            self._cells(),
-            jobs="auto",
-            batch_runner=_echo_runner,
-            checkpoint_path=path,
-            encode=_enc,
-            decode=_dec,
-        )
-        assert results == {i: i * i for i in range(4)}
-        resumed = run_cells(
-            self._cells(),
-            jobs="auto",
-            batch_runner=_echo_runner,
-            checkpoint_path=path,
-            resume=True,
-            encode=_enc,
-            decode=_dec,
-        )
-        assert resumed == results
-
-
-class TestSharedMemoryTransport:
-    def test_pack_dedupes_and_round_trips(self):
-        from repro.parallel import (
-            _execute_cell,
-            _pack_shared_arrays,
-            _release_segments,
-            _ShmRef,
-        )
-
-        big = np.arange(200_000, dtype=np.float64)  # 1.6 MB, over threshold
-        small = np.ones(8)
-        cells = [
-            Cell(key=i, fn=_sum_array, kwargs={"values": big, "offset": float(i)})
-            for i in range(3)
-        ] + [Cell(key=3, fn=_sum_array, kwargs={"values": small, "offset": 0.0})]
-        packed, segments = _pack_shared_arrays(cells)
-        try:
-            # one segment no matter how many cells reference the array
-            assert len(segments) == 1
-            refs = [c.kwargs["values"] for c in packed[:3]]
-            assert all(isinstance(r, _ShmRef) for r in refs)
-            assert len({r.name for r in refs}) == 1
-            # small arrays ride the normal pickle path untouched
-            assert packed[3].kwargs["values"] is small
-            expected = float(np.sum(big))
-            for i, cell in enumerate(packed[:3]):
-                assert _execute_cell(cell) == expected + i
-        finally:
-            _release_segments(segments)
-
-    def test_pool_sweep_with_large_shared_array(self):
-        big = np.arange(200_000, dtype=np.float64)
-        cells = [
-            Cell(key=i, fn=_sum_array, kwargs={"values": big, "offset": float(i)})
-            for i in range(4)
-        ]
-        results = run_cells(cells, jobs=2)
-        assert results == {i: float(np.sum(big)) + i for i in range(4)}
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str([(k, k * k) for k in range(4)])

@@ -18,7 +18,6 @@ class TestDocumentedEntryPoints:
             (
                 "repro.thermal",
                 [
-                    "BatchedSpectralState",
                     "Floorplan",
                     "RCThermalModel",
                     "ThermalDynamics",
@@ -60,7 +59,6 @@ class TestDocumentedEntryPoints:
             (
                 "repro.sim",
                 [
-                    "BatchedSimulatorSet",
                     "IntervalSimulator",
                     "SimContext",
                     "SimulationResult",

@@ -110,15 +110,3 @@ class TestStateContract:
     def test_rejects_wrong_shape(self, dynamics16):
         with pytest.raises(ValueError, match="node temperatures"):
             SpectralThermalState(dynamics16, _AMBIENT_C, np.zeros(3))
-
-    def test_coefficients_property_is_a_frozen_view(self, dynamics16):
-        model = dynamics16.model
-        state = SpectralThermalState(
-            dynamics16, _AMBIENT_C, model.ambient_vector(_AMBIENT_C)
-        )
-        coeffs = state.coefficients
-        with pytest.raises(ValueError):
-            coeffs[:] = 99.0
-        assert not np.allclose(state.coefficients, 99.0)
-        # a view over the live buffer, not a per-read copy
-        assert coeffs.base is not None
