@@ -113,7 +113,7 @@ TRACE_ITERATIONS = 400
 def _span_workload(tracer, calculator, base):
     """The serve hot path in miniature: three nested spans per request
     around a real peak-temperature evaluation (mirrors the span tree
-    ``http.<endpoint>`` -> ``batch.flush`` -> ``batch.peak_batch``).
+    ``http.<endpoint>`` -> ``batch.peak_batch``).
 
     Power varies per request (and per repeat, via ``base``) so every
     iteration pays the full evaluation rather than a memo hit.
@@ -125,9 +125,8 @@ def _span_workload(tracer, calculator, base):
             total += calculator.peak_batch([seq], [None])[0]
         else:
             with tracer.span("http.peak", root=True):
-                with tracer.span("batch.flush"):
-                    with tracer.span("batch.peak_batch"):
-                        total += calculator.peak_batch([seq], [None])[0]
+                with tracer.span("batch.peak_batch"):
+                    total += calculator.peak_batch([seq], [None])[0]
     return total
 
 

@@ -47,14 +47,12 @@ def test_loadgen_writes_artifact():
     for kind_stats in report["latency_by_kind_s"].values():
         assert 0 < kind_stats["p50"] <= kind_stats["p99"]
 
-    # the cross-tenant fast path fired: shared memo hits, shared
-    # dynamics (4 tenants, 2 distinct configurations -> 2 misses), and
-    # the micro-batcher coalesced at least some concurrent candidates
+    # the cross-tenant fast path fired: shared memo hits and shared
+    # dynamics (4 tenants, 2 distinct configurations -> 2 misses)
     cache = report["cache"]
     assert cache["peak_memo_hits"] > 0
     assert cache["dynamics_misses"] == CONFIG.n_distinct_configs
     assert cache["dynamics_hits"] >= CONFIG.n_tenants - CONFIG.n_distinct_configs
-    assert cache["batch_requests"] >= CONFIG.n_requests * 0.5
 
     ARTIFACT.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     assert json.loads(ARTIFACT.read_text())["benchmark"] == "repro.serve.loadgen"

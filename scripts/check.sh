@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # Tier-2 gate: everything a PR must pass, in one command.
 #
-#   scripts/check.sh            # tier-1 pytest + domain lint + mypy + ruff
-#   scripts/check.sh --fast     # skip the (slow) tier-1 pytest run
+#   scripts/check.sh            # tier-1 pytest + perfbench tests + domain lint + mypy + ruff
+#   scripts/check.sh --fast     # skip the (slow) tier-1 pytest and perfbench runs
 #
-# The first two stages are self-contained (stdlib + the repo itself).
+# The perfbench stage runs the benchmark driver's own tests
+# (perfbench/test_perfbench.py, ~20 s), which read the serve metrics and
+# spans that perfbench/run.py consumes.
+#
+# The first three stages are self-contained (stdlib + the repo itself).
 # mypy and ruff are optional extras (`pip install .[lint]`); when a tool
 # is not installed the stage is SKIPPED with a notice instead of
 # failing, so the gate degrades gracefully on minimal containers.
@@ -44,8 +48,10 @@ skip_stage() {  # skip_stage <name> <reason>
 
 if [ "${1:-}" = "--fast" ]; then
     skip_stage pytest "--fast requested"
+    skip_stage perfbench "--fast requested"
 else
     run_stage pytest "$PYTHON" -m pytest -q
+    run_stage perfbench "$PYTHON" -m pytest perfbench -q
 fi
 
 run_stage lint "$PYTHON" -m repro.lint check src/repro \

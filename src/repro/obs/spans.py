@@ -3,11 +3,9 @@
 A :class:`SpanTracer` is the serving stack's answer to "where did this
 request spend its time?".  It records :class:`SpanRecord`\\ s — one per
 traced operation, carrying ``trace_id``/``span_id``/``parent_id``,
-monotonic-clock start and duration, a status, free-form attributes and
-*links* to other spans (the micro-batcher's flush span links back to
-every request span whose candidates it drained) — into a bounded
-in-memory ring buffer, optionally streaming each finished span to a
-JSONL sink following the :class:`~repro.obs.sink.JsonlTraceSink`
+monotonic-clock start and duration, a status and free-form attributes —
+into a bounded in-memory ring buffer, optionally streaming each finished
+span to a JSONL sink following the :class:`~repro.obs.sink.JsonlTraceSink`
 conventions (one ``{"kind": "span", ...}`` object per line, key-sorted).
 
 Design constraints, in the spirit of the rest of ``repro.obs``:
@@ -23,9 +21,8 @@ Design constraints, in the spirit of the rest of ``repro.obs``:
 - **asyncio-correct propagation** — the ambient "current span" lives in a
   :class:`contextvars.ContextVar`, which asyncio snapshots per task, so
   concurrent requests interleaving on one event loop each see their own
-  span stack.  Callbacks scheduled with ``loop.call_soon`` *inherit* the
-  scheduling task's context — a span that must not be parented into an
-  arbitrary request (the batch flush) passes ``root=True``.
+  span stack.  A span that starts a new trace whatever is ambient (each
+  served request) passes ``root=True``.
 
 The matching analytics live next door: quantiles come from
 :meth:`repro.obs.metrics.Histogram.quantile`, orphan detection from
@@ -55,7 +52,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -87,7 +83,7 @@ _FLUSH_EVERY = 256
 
 @dataclass(frozen=True)
 class SpanRecord:
-    """One finished span: identity, timing, status, attributes, links."""
+    """One finished span: identity, timing, status, attributes."""
 
     trace_id: int
     span_id: int
@@ -101,9 +97,6 @@ class SpanRecord:
     status: str = "ok"
     #: free-form JSON-serializable annotations.
     attrs: Dict[str, object] = field(default_factory=dict)
-    #: span ids this span is causally linked to (e.g. a batch flush span
-    #: links every request span it served); not parent/child edges.
-    links: Tuple[int, ...] = ()
 
     @property
     def end_s(self) -> float:
@@ -118,6 +111,8 @@ def span_to_json_line(record: SpanRecord) -> str:
 
 
 def _span_from_dict(payload: Dict[str, object], line_no: int) -> SpanRecord:
+    # unknown keys are ignored: span files from older versions carry a
+    # ``links`` list the record no longer has
     if payload.pop("kind", None) != "span":
         raise ValueError(f"span JSONL line {line_no}: not a span record")
     parent = payload.get("parent_id")
@@ -131,7 +126,6 @@ def _span_from_dict(payload: Dict[str, object], line_no: int) -> SpanRecord:
             duration_s=float(payload["duration_s"]),
             status=str(payload.get("status", "ok")),
             attrs=dict(payload.get("attrs", {})),
-            links=tuple(int(s) for s in payload.get("links", ())),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
@@ -168,7 +162,7 @@ def read_spans_jsonl(path: PathLike) -> List[SpanRecord]:
 class _ActiveSpan:
     """Handle yielded by :meth:`SpanTracer.span` while the span is open."""
 
-    __slots__ = ("trace_id", "span_id", "parent_id", "name", "attrs", "links")
+    __slots__ = ("trace_id", "span_id", "parent_id", "name", "attrs")
 
     def __init__(
         self,
@@ -177,22 +171,16 @@ class _ActiveSpan:
         parent_id: Optional[int],
         name: str,
         attrs: Dict[str, object],
-        links: Tuple[int, ...],
     ):
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
         self.name = name
         self.attrs = attrs
-        self.links = links
 
     def annotate(self, **attrs: object) -> None:
         """Attach attributes to the span before it closes."""
         self.attrs.update(attrs)
-
-    def add_link(self, span_id: int) -> None:
-        """Causally link another span (order preserved, duplicates kept)."""
-        self.links = self.links + (int(span_id),)
 
 
 class _NoopSpan:
@@ -211,9 +199,6 @@ class _NoopSpan:
 
     def annotate(self, **attrs: object) -> None:
         """Discard attributes (tracer disabled)."""
-
-    def add_link(self, span_id: int) -> None:
-        """Discard the link (tracer disabled)."""
 
     def __enter__(self) -> "_NoopSpan":
         return self
@@ -262,17 +247,16 @@ class SpanTracer:
         self,
         name: str,
         root: bool = False,
-        links: Sequence[int] = (),
         **attrs: object,
     ) -> ContextManager[Union[_ActiveSpan, _NoopSpan]]:
         """Open a span around a ``with`` block.
 
         The new span becomes the ambient parent for anything opened inside
         the block (also across ``await``).  ``root=True`` forces a fresh
-        trace even when an ambient span exists — required for work whose
-        scheduling context belongs to an unrelated request, like the
-        micro-batcher's flush callback.  An exception escaping the block
-        marks the span ``error:<ExceptionName>`` and propagates.
+        trace even when an ambient span exists (the server opens every
+        request's ``http.<endpoint>`` span this way).  An exception
+        escaping the block marks the span ``error:<ExceptionName>`` and
+        propagates.
 
         When the tracer is disabled this returns a shared no-op context
         manager without allocating anything (the "free when off" gate in
@@ -280,14 +264,13 @@ class SpanTracer:
         """
         if not self.enabled:
             return _NOOP_SPAN
-        return self._record_span(name, root, links, attrs)
+        return self._record_span(name, root, attrs)
 
     @contextmanager
     def _record_span(
         self,
         name: str,
         root: bool,
-        links: Sequence[int],
         attrs: Dict[str, object],
     ) -> Iterator[_ActiveSpan]:
         parent = _CURRENT.get()
@@ -297,10 +280,7 @@ class SpanTracer:
         else:
             trace_id, parent_id = parent
         span_id = next(self._span_ids)
-        handle = _ActiveSpan(
-            trace_id, span_id, parent_id, name, dict(attrs),
-            tuple(int(s) for s in links),
-        )
+        handle = _ActiveSpan(trace_id, span_id, parent_id, name, dict(attrs))
         token = _CURRENT.set((trace_id, span_id))
         status = "ok"
         start = time.perf_counter()
@@ -322,16 +302,8 @@ class SpanTracer:
                     duration_s=duration,
                     status=status,
                     attrs=handle.attrs,
-                    links=handle.links,
                 )
             )
-
-    def current_span_id(self) -> Optional[int]:
-        """Span id of the ambient span (``None`` when disabled or idle)."""
-        if not self.enabled:
-            return None
-        context = _CURRENT.get()
-        return context[1] if context is not None else None
 
     def current_trace_id(self) -> Optional[int]:
         """Trace id of the ambient span (``None`` when disabled or idle)."""

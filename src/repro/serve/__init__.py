@@ -13,22 +13,19 @@ The layers, bottom-up (the request lifecycle is traced end-to-end in
 
 - :class:`ServeCache` — cross-tenant sharing of eigendecompositions,
   Algorithm-1 calculators and the peak-temperature memo;
-- :class:`MicroBatcher` — coalesces concurrent candidate evaluations
-  into single ``peak_batch`` calls;
 - :class:`ThermalService` — transport-free tenant registry, payload
   validation, tau selection, simulation, degradation ladder;
-- :class:`ThermalServer` — the asyncio HTTP transport;
+- :class:`ThermalServer` — the asyncio HTTP transport; each ``/v1/peak``
+  or ``/v1/tau`` request is one ``peak_batch`` call over its candidates;
 - :mod:`repro.serve.loadgen` — seeded Poisson load generator writing
   ``BENCH_serve.json``.
 """
 
-from .batch import MicroBatcher
 from .cache import ServeCache, config_fingerprint, model_fingerprint
 from .http import ThermalServer
 from .service import ServeConfig, TenantState, ThermalService
 
 __all__ = [
-    "MicroBatcher",
     "ServeCache",
     "ServeConfig",
     "TenantState",

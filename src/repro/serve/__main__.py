@@ -37,13 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="hard ceiling on one /v1/simulate horizon [simulated s]",
     )
     parser.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="micro-batch coalescing window (0 = same event-loop tick)",
-    )
-    parser.add_argument(
         "--trace",
         action="store_true",
         help="enable request-span tracing (GET /debug/traces)",
@@ -90,7 +83,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         port=args.port,
         max_tenants=args.max_tenants,
         simulate_max_time_s=args.simulate_max_time,
-        batch_window_s=args.batch_window,
         trace_spans=args.trace,
         trace_capacity=args.trace_capacity,
         trace_path=args.trace_path,

@@ -30,20 +30,24 @@ Every request is timed into ``serve.latency_s``, a per-endpoint
 resolved — ``serve.tenant.<name>.latency``; tenants with an SLO feed the
 same latency into their error-budget tracker.  With
 ``ServeConfig.trace_spans`` on, each request runs under an ``http.<endpoint>``
-root span and the serve internals (micro-batcher, cache, engine phases)
-attach child spans — see ``docs/observability.md``.
+root span and the serve internals (``batch.peak_batch``, cache, engine
+phases) attach child spans — see ``docs/observability.md``.
 
 Error mapping: validation failures are 400, unknown tenants/routes 404,
-wrong methods 405, oversized bodies 413, unexpected exceptions 500 (the
-connection survives; ``serve.http.errors`` counts them), and a tenant
-whose degradation ladder refuses the request gets **503 with a
-``Retry-After`` header** (see ``docs/faults.md``).
+wrong methods 405, unexpected exceptions 500 (the connection survives;
+``serve.http.errors`` counts them), a malformed or negative
+``Content-Length`` 400 and an oversized body 413 (both close the
+connection: the unread body cannot be skipped), and a tenant whose
+degradation ladder refuses the request gets **503 with a ``Retry-After``
+header** (see ``docs/faults.md``).
 
 The server is single-threaded by design: requests interleave on the
-event loop, and ``/v1/simulate`` *blocks* the loop for its (clamped)
-horizon — the documented trade-off that makes every shared cache safe
-without locks, and the very thing the micro-batcher exploits (requests
-queue while the loop is busy, then coalesce into one ``peak_batch``).
+event loop only while their bytes are read and written.  Every handler
+behind :meth:`ThermalServer._dispatch` is a plain synchronous call — a
+``/v1/peak`` or ``/v1/tau`` request is one ``peak_batch`` call over its
+own candidate list, and ``/v1/simulate`` *blocks* the loop for its
+(clamped) horizon — the documented trade-off that makes every shared
+cache safe without locks.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import asyncio
 import json
 import time
 from contextvars import ContextVar
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs
 
 from ..obs import MetricsRegistry
@@ -63,9 +67,8 @@ from ..obs.export import (
 )
 from ..obs.profiling import PhaseProfiler
 from ..obs.spans import SpanTracer, span_to_json_line
-from .batch import MicroBatcher
 from .cache import ServeCache
-from .service import ServeConfig, ThermalService, metric_label
+from .service import ServeConfig, TenantState, ThermalService, metric_label
 
 __all__ = ["ThermalServer"]
 
@@ -173,9 +176,6 @@ class ThermalServer:
         )
         if self.cache.tracer is None:
             self.cache.tracer = self.tracer
-        self.batcher = MicroBatcher(
-            self.config.batch_window_s, tracer=self.tracer
-        )
         self._server: Optional[asyncio.base_events.Server] = None
         #: bound TCP port, available after :meth:`start` (ephemeral-port
         #: friendly: pass ``port=0`` and read this back)
@@ -221,7 +221,7 @@ class ThermalServer:
                 request = await self._read_request(reader)
                 if request is None:
                     break
-                method, path, headers, body = request
+                method, path, headers, body, rejected = request
                 endpoint = _endpoint_of(path.partition("?")[0])
                 scope_token = _REQUEST_SCOPE.set(_RequestScope())
                 started = time.perf_counter()
@@ -229,8 +229,8 @@ class ThermalServer:
                     with self.tracer.span(
                         f"http.{endpoint}", root=True, method=method, path=path
                     ) as span:
-                        status, payload, extra = await self._dispatch(
-                            method, path, headers, body
+                        status, payload, extra = self._dispatch(
+                            method, path, headers, body, rejected
                         )
                         span.annotate(status=status)
                     self._observe_latency(
@@ -284,8 +284,16 @@ class ThermalServer:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """Parse one request; ``None`` on a cleanly closed connection."""
+    ) -> Optional[
+        Tuple[str, str, Dict[str, str], bytes, Optional[_HttpError]]
+    ]:
+        """Parse one request; ``None`` on a cleanly closed connection.
+
+        The last field is the framing error to answer instead of routing
+        the request: a malformed or negative ``Content-Length`` (400) or a
+        body over ``max_body_bytes`` (413).  The body is then left unread,
+        so the request is marked ``Connection: close``.
+        """
         try:
             request_line = await reader.readline()
         except (ConnectionResetError, asyncio.IncompleteReadError):
@@ -303,13 +311,17 @@ class ThermalServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > self.config.max_body_bytes:
-            # drain nothing — the 413 response closes the connection
-            headers["connection"] = "close"
-            return method, path, headers, b"\x00oversized"
-        body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body
+        raw_length = headers.get("content-length", "") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            rejected = _HttpError(400, f"invalid Content-Length {raw_length!r}")
+        elif int(raw_length) > self.config.max_body_bytes:
+            rejected = _HttpError(413, "request body exceeds limit")
+        else:
+            length = int(raw_length)
+            body = await reader.readexactly(length) if length else b""
+            return method, path, headers, body, None
+        headers["connection"] = "close"
+        return method, path, headers, b"", rejected
 
     def _write_response(
         self,
@@ -332,15 +344,20 @@ class ThermalServer:
 
     # -- routing -------------------------------------------------------------
 
-    async def _dispatch(
-        self, method: str, path: str, headers: Dict[str, str], body: bytes
+    def _dispatch(
+        self,
+        method: str,
+        path: str,
+        headers: Dict[str, str],
+        body: bytes,
+        rejected: Optional[_HttpError],
     ) -> Tuple[int, bytes, Dict[str, str]]:
         """Route one request; never raises (errors become responses)."""
         self.registry.counter("serve.http.requests").inc()
         try:
-            if body.startswith(b"\x00oversized"):
-                raise _HttpError(413, "request body exceeds limit")
-            return await self._route(method, path, headers, body)
+            if rejected is not None:
+                raise rejected
+            return self._route(method, path, headers, body)
         except _HttpError as exc:
             if exc.status >= 500:
                 self.registry.counter("serve.http.errors").inc()
@@ -356,7 +373,7 @@ class ThermalServer:
             )
             return 500, payload, {"Content-Type": _JSON}
 
-    async def _route(
+    def _route(
         self, method: str, path: str, headers: Dict[str, str], body: bytes
     ) -> Tuple[int, bytes, Dict[str, str]]:
         path, _, query = path.partition("?")
@@ -405,10 +422,10 @@ class ThermalServer:
             return _json_response({"deleted": name})
         if path == "/v1/peak":
             _require(method, "POST")
-            return await self._peak(headers, body)
+            return self._peak(headers, body)
         if path == "/v1/tau":
             _require(method, "POST")
-            return await self._tau(body)
+            return self._tau(body)
         if path == "/v1/simulate":
             _require(method, "POST")
             return self._simulate(body)
@@ -439,23 +456,34 @@ class ThermalServer:
             scope.tenant = name
         return tenant
 
-    async def _peak(
+    def _peak_batch(
+        self,
+        tenant: TenantState,
+        seqs: Sequence[Any],
+        taus_s: Sequence[Optional[float]],
+    ) -> List[float]:
+        """One request's candidates through one ``peak_batch`` call."""
+        with self.tracer.span("batch.peak_batch", candidates=len(seqs)):
+            peaks = tenant.calculator.peak_batch(seqs, taus_s)
+        return [float(peak_c) for peak_c in peaks]
+
+    def _peak(
         self, headers: Dict[str, str], body: bytes
     ) -> Tuple[int, bytes, Dict[str, str]]:
         if headers.get("content-type", "").startswith(_JSONL):
-            return await self._peak_jsonl(body)
+            return self._peak_jsonl(body)
         payload = _parse_json(body)
         tenant = self._tenant_for(payload, "peak")
         seqs, taus_s = _catch_400(
             lambda: self.service.parse_candidates(tenant, payload)
         )
-        peaks = await self.batcher.evaluate_many(tenant.calculator, seqs, taus_s)
+        peaks = self._peak_batch(tenant, seqs, taus_s)
         single = "candidates" not in payload
         return _json_response(
             self.service.peak_payload(tenant, peaks, taus_s, single)
         )
 
-    async def _peak_jsonl(self, body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
+    def _peak_jsonl(self, body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
         """Streaming form: header line, then one candidate per JSONL line."""
         lines = [line for line in body.decode("utf-8").splitlines() if line.strip()]
         if not lines:
@@ -472,20 +500,20 @@ class ThermalServer:
             taus_s.append(tau_s)
         if not seqs:
             raise _HttpError(400, "JSONL body has no candidates")
-        peaks = await self.batcher.evaluate_many(tenant.calculator, seqs, taus_s)
+        peaks = self._peak_batch(tenant, seqs, taus_s)
         results = self.service.peak_payload(tenant, peaks, taus_s, single=False)
         payload = "\n".join(
             json.dumps(result, sort_keys=True) for result in results["results"]
         ).encode() + b"\n"
         return 200, payload, {"Content-Type": _JSONL}
 
-    async def _tau(self, body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
+    def _tau(self, body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
         payload = _parse_json(body)
         tenant = self._tenant_for(payload, "tau")
         seqs, taus_s = _catch_400(
             lambda: self.service.ladder_candidates(tenant, payload)
         )
-        peaks = await self.batcher.evaluate_many(tenant.calculator, seqs, taus_s)
+        peaks = self._peak_batch(tenant, seqs, taus_s)
         return _json_response(self.service.tau_payload(tenant, peaks, taus_s))
 
     def _simulate(self, body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
@@ -530,8 +558,6 @@ class ThermalServer:
         """
         for name, value in self.service.gauges().items():
             self.registry.gauge(name).set(value)
-        for name, value in self.batcher.stats().items():
-            self.registry.gauge(f"serve.{name}").set(value)
         for name, value in self.tracer.stats().items():
             self.registry.gauge(f"serve.{name}").set(value)
         flat = self.registry.snapshot()

@@ -8,7 +8,7 @@ arrival stream of mixed requests (``peak`` / ``tau`` / ``simulate`` /
 ``metrics``) over real TCP connections, and writes ``BENCH_serve.json``
 with p50/p95/p99 latency (estimated by the same
 :meth:`~repro.obs.metrics.Histogram.quantile` implementation the
-``/metrics`` exposition uses), throughput, and the cache/batch counters
+``/metrics`` exposition uses), throughput, and the cache counters
 scraped from the server's own ``/metrics`` endpoint.  ``--trace-waterfall
 PATH`` enables span tracing on the server and exports a self-contained
 trace-waterfall HTML of the run.
@@ -285,9 +285,6 @@ async def _run(
                 ("peak_memo_misses", "repro_serve_cache_peak_memo_misses"),
                 ("dynamics_hits", "repro_serve_cache_dynamics_hits"),
                 ("dynamics_misses", "repro_serve_cache_dynamics_misses"),
-                ("batch_flushes", "repro_serve_batch_flushes"),
-                ("batch_requests", "repro_serve_batch_requests"),
-                ("batch_coalesced", "repro_serve_batch_coalesced"),
             )
             if metric in metrics
         },

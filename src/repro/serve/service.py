@@ -97,9 +97,6 @@ class ServeConfig:
     retry_after_s: float = 1.0
     #: consecutive simulation failures before ``safe-park``.
     park_after_failures: int = 3
-    #: micro-batch coalescing window [s]; 0 coalesces within one event-loop
-    #: tick (every request that arrived in the same burst).
-    batch_window_s: float = 0.0
     #: largest accepted request body [bytes].
     max_body_bytes: int = 1 << 20
     #: request-span tracing (off by default: zero overhead, byte-identical

@@ -205,7 +205,7 @@ class TestSharedMutation:
 
     def test_container_mutation_not_flagged(self, lint_files):
         # append/setitem mutate the container, they do not re-bind the
-        # attribute — the MicroBatcher pattern, deliberately legal.
+        # attribute — a queue-append pattern, deliberately legal.
         findings = select(
             lint_files,
             {

@@ -348,8 +348,14 @@ class TestRealTree:
 
     def test_serve_handlers_are_roots(self, graph):
         roots = {s.qualname for s in graph.async_roots()}
-        assert "repro.serve.http.ThermalServer._handle_connection" in roots
-        assert "repro.serve.http.ThermalServer._dispatch" in roots
+        handle = "repro.serve.http.ThermalServer._handle_connection"
+        assert handle in roots
+        # the request handlers are plain synchronous calls made from that
+        # root, so the async rules still walk them from it
+        dispatch = "repro.serve.http.ThermalServer._dispatch"
+        assert not graph.functions[dispatch].is_async
+        calls = graph.functions[handle].calls
+        assert dispatch in {c.target for c in calls if c.kind == "project"}
 
     def test_dispatch_resolves_into_service_layer(self, graph):
         summary = graph.functions[

@@ -175,7 +175,7 @@ class TestSpansSubcommand:
         tracer = SpanTracer(enabled=True)
         for index in range(3):
             with tracer.span("http.peak", endpoint="peak"):
-                with tracer.span("batch.wait"):
+                with tracer.span("batch.peak_batch"):
                     pass
         path = tmp_path_factory.mktemp("spans") / "spans.jsonl"
         tracer.write_jsonl(path)
@@ -192,7 +192,7 @@ class TestSpansSubcommand:
     def test_summarize_human(self, span_file):
         proc = run_cli("spans", "summarize", str(span_file))
         assert proc.returncode == 0, proc.stderr
-        assert "http.peak" in proc.stdout and "batch.wait" in proc.stdout
+        assert "http.peak" in proc.stdout and "batch.peak_batch" in proc.stdout
 
     def test_slowest_ranks_by_duration(self, span_file):
         proc = run_cli("spans", "slowest", str(span_file), "--json", "--limit", "2")

@@ -284,16 +284,6 @@ class TestSpanOrphanDetector:
         assert violation.severity == "warning"
         assert str(orphaned[0].parent_id) in violation.message
 
-    def test_links_are_not_parent_edges(self):
-        from repro.obs import SpanOrphanDetector
-        from repro.obs.spans import SpanTracer
-
-        tracer = SpanTracer(enabled=True)
-        with tracer.span("flush", links=(12345,)):
-            pass
-        # a dangling *link* is fine; only parent_id edges count
-        assert SpanOrphanDetector().check(list(tracer)) == []
-
 
 class TestQosDeadlineViolationDetector:
     """Deadlines are learned from TaskArrived events in the trace itself."""

@@ -194,7 +194,7 @@ class TestTraceWaterfall:
         tracer = SpanTracer(enabled=True)
         for _ in range(2):
             with tracer.span("http.peak", endpoint="peak"):
-                with tracer.span("batch.wait"):
+                with tracer.span("batch.peak_batch"):
                     pass
         return list(tracer)
 

@@ -1,4 +1,4 @@
-"""Live-server round-trips, micro-batch equivalence, HTTP degradation.
+"""Live-server round-trips, burst equivalence, framing, HTTP degradation.
 
 Every test boots a real :class:`~repro.serve.http.ThermalServer` on an
 ephemeral port inside ``asyncio.run`` and talks to it over TCP — the
@@ -8,12 +8,10 @@ same path ``python -m repro.serve`` serves.
 import asyncio
 import json
 
-import numpy as np
 import pytest
 
-from repro import config
 from repro.obs.export import parse_openmetrics
-from repro.serve import MicroBatcher, ServeCache, ServeConfig, ThermalServer
+from repro.serve import ServeConfig, ThermalServer
 from repro.serve.loadgen import _http_request
 
 SMALL = {"mesh_width": 2, "mesh_height": 2}
@@ -36,6 +34,29 @@ def run_server(handler, serve_config=None):
 async def _post(host, port, path, payload):
     status, body = await _http_request(host, port, "POST", path, payload)
     return status, json.loads(body) if body else {}
+
+
+def _request_bytes(host, path, payload, content_type="application/json"):
+    """A complete ``POST`` request; ``payload`` is a dict or raw bytes."""
+    body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+    head = (
+        f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
+    )
+    return head.encode() + body
+
+
+async def _raw(host, port, raw):
+    """Send raw request bytes; return (response head, body) read to EOF."""
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(raw)
+    await writer.drain()
+    response = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    head, _, body = response.partition(b"\r\n\r\n")
+    return head.decode("latin-1"), body
 
 
 async def _create_tenant(host, port, name, overrides=None):
@@ -116,21 +137,12 @@ class TestEndpointRoundTrips:
                 json.dumps({"power": [0.5 * (k + 1)] * 4}) for k in range(3)
             ]
             body = ("\n".join(lines) + "\n").encode()
-            reader, writer = await asyncio.open_connection(host, port)
-            writer.write(
-                (
-                    f"POST /v1/peak HTTP/1.1\r\nHost: {host}\r\n"
-                    f"Content-Type: application/jsonl\r\n"
-                    f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
-                ).encode()
-                + body
+            head, payload = await _raw(
+                host,
+                port,
+                _request_bytes(host, "/v1/peak", body, "application/jsonl"),
             )
-            await writer.drain()
-            raw = await reader.read()
-            writer.close()
-            await writer.wait_closed()
-            head, _, payload = raw.partition(b"\r\n\r\n")
-            assert b"200" in head.splitlines()[0]
+            assert head.startswith("HTTP/1.1 200")
             results = [json.loads(line) for line in payload.splitlines() if line]
             assert len(results) == 3
             # more power, hotter peak
@@ -176,7 +188,6 @@ class TestEndpointRoundTrips:
             assert metrics["repro_serve_tenants"] == 1.0
             assert metrics["repro_serve_http_requests"] >= 3.0
             assert "repro_serve_cache_peak_memo_hits" in metrics
-            assert "repro_serve_batch_flushes" in metrics
 
         run_server(handler)
 
@@ -226,65 +237,84 @@ class TestCrossTenantCache:
         run_server(handler)
 
 
-class TestMicroBatching:
-    def test_concurrent_requests_coalesce(self):
+class TestConcurrentPeak:
+    """A concurrent burst answers exactly what the same requests answer
+    one at a time: each request is its own ``peak_batch`` call."""
+
+    CANDIDATES = [
+        {"power": [0.5] * 4},
+        {"power_seq": [[2.0] * 4, [0.1] * 4], "tau_s": 0.001},
+        {"power_seq": [[1.5] * 4, [0.2] * 4], "tau_s": 0.0005},
+    ]
+
+    def _tape(self, host):
+        """Raw JSON peak, JSONL peak and tau requests for tenant t0."""
+        jsonl = "\n".join(
+            [json.dumps({"tenant": "t0"})]
+            + [json.dumps(c) for c in self.CANDIDATES]
+        ).encode() + b"\n"
+        return [
+            _request_bytes(host, "/v1/peak", {"tenant": "t0", "power": [1.0] * 4}),
+            _request_bytes(
+                host, "/v1/peak", {"tenant": "t0", "candidates": self.CANDIDATES}
+            ),
+            _request_bytes(host, "/v1/peak", jsonl, "application/jsonl"),
+            _request_bytes(
+                host,
+                "/v1/tau",
+                {"tenant": "t0", "power_seq": [[2.0] * 4, [0.1] * 4]},
+            ),
+            _request_bytes(
+                host,
+                "/v1/tau",
+                {"tenant": "t0", "power_seq": [[1.0] * 4, [0.3] * 4]},
+            ),
+        ]
+
+    def test_burst_equals_sequential_bitwise(self):
         async def handler(server, host, port):
             await _create_tenant(host, port, "t0")
-            payloads = [
-                {"tenant": "t0", "power": [0.2 * (k + 1)] * 4} for k in range(6)
-            ]
-            results = await asyncio.gather(
-                *(_post(host, port, "/v1/peak", p) for p in payloads)
+            tape = self._tape(host)
+            sequential = [await _raw(host, port, raw) for raw in tape]
+            burst = await asyncio.gather(*(_raw(host, port, raw) for raw in tape))
+            return sequential, burst
+
+        sequential, burst = run_server(handler)
+        assert all(head.startswith("HTTP/1.1 200") for head, _ in sequential)
+        # bodies (floats included) are byte-identical
+        assert [body for _, body in burst] == [body for _, body in sequential]
+
+    def test_peak_batch_error_is_500_for_that_request_only(self, monkeypatch):
+        async def handler(server, host, port):
+            await _create_tenant(host, port, "flaky")
+            await _create_tenant(host, port, "ok", dict(SMALL, dtm_threshold_c=80.0))
+            calculator = server.service.tenant("flaky").calculator
+            real = calculator.peak_batch
+            calls = []
+
+            def fails_first(seqs, taus):
+                calls.append(len(seqs))
+                if len(calls) == 1:
+                    raise RuntimeError("boom")
+                return real(seqs, taus)
+
+            monkeypatch.setattr(calculator, "peak_batch", fails_first)
+            (s_flaky, body_flaky), (s_ok, _) = await asyncio.gather(
+                _post(host, port, "/v1/peak", {"tenant": "flaky", "power": [1.0] * 4}),
+                _post(host, port, "/v1/peak", {"tenant": "ok", "power": [1.0] * 4}),
             )
-            assert all(status == 200 for status, _ in results)
-            assert server.batcher.requests >= 6
-            # at least one flush served several candidates at once
-            assert server.batcher.coalesced >= 2
-            assert server.batcher.flushes < server.batcher.requests
+            assert (s_flaky, s_ok) == (500, 200)
+            assert "boom" in body_flaky["error"]
+            status, body = await _post(
+                host, port, "/v1/peak", {"tenant": "flaky", "power": [1.0] * 4}
+            )
+            assert status == 200
+            assert body["t_peak_c"] > 45.0
 
         run_server(handler)
 
-    def test_batched_equals_sequential_bitwise(self):
-        """Coalesced evaluation is bit-for-bit the sequential answer."""
-        cfg = config.small_test()
-        cache = ServeCache()
-        calculator = cache.calculator_for(cfg)
-        rng = np.random.default_rng(42)
-        seqs = [rng.uniform(0.2, 2.0, (1, cfg.n_cores)) for _ in range(8)]
-        taus = [None, 0.001, 0.002, None, 0.0005, 0.001, None, 0.004]
 
-        async def batched():
-            batcher = MicroBatcher()
-            halves = await asyncio.gather(
-                batcher.evaluate_many(calculator, seqs[:4], taus[:4]),
-                batcher.evaluate_many(calculator, seqs[4:], taus[4:]),
-            )
-            assert batcher.flushes == 1  # both calls coalesced
-            return halves[0] + halves[1]
-
-        coalesced = asyncio.run(batched())
-        sequential = [
-            float(calculator.peak_batch([seq], [tau])[0])
-            for seq, tau in zip(seqs, taus)
-        ]
-        assert coalesced == sequential  # exact, not approx
-
-    def test_batch_error_propagates_per_group(self):
-        class Broken:
-            def peak_batch(self, seqs, taus):
-                raise RuntimeError("boom")
-
-        async def main():
-            batcher = MicroBatcher()
-            with pytest.raises(RuntimeError, match="boom"):
-                await batcher.evaluate_many(
-                    Broken(), [np.ones((1, 4))], [None]
-                )
-
-        asyncio.run(main())
-
-
-class TestSimulateBatching:
+class TestConcurrentSimulate:
     """Concurrent /v1/simulate bursts equal sequential runs, per request."""
 
     PAYLOADS = [
@@ -309,8 +339,6 @@ class TestSimulateBatching:
     ]
 
     def test_burst_equals_sequential_bitwise(self):
-        serve_config = ServeConfig(port=0, batch_window_s=0.1)
-
         async def handler(server, host, port):
             await _create_tenant(host, port, "t0")
             sequential = []
@@ -332,11 +360,9 @@ class TestSimulateBatching:
             # sequential ones
             assert [body for _, body in burst] == sequential
 
-        run_server(handler, serve_config)
+        run_server(handler)
 
     def test_burst_isolates_per_request_failures(self):
-        serve_config = ServeConfig(port=0, batch_window_s=0.1)
-
         async def handler(server, host, port):
             await _create_tenant(host, port, "t0")
             good = self.PAYLOADS[0]
@@ -353,7 +379,7 @@ class TestSimulateBatching:
             # failure: the tenant's degradation ladder must not move
             assert server.service.tenant("t0").mode == "normal"
 
-        run_server(handler, serve_config)
+        run_server(handler)
 
 
 class TestDegradationOverHttp:
@@ -447,3 +473,37 @@ class TestDegradationOverHttp:
             assert status == 413
 
         run_server(handler, serve_config)
+
+
+class TestRequestFraming:
+    """Malformed framing gets a definite answer; bodies are never sniffed."""
+
+    @staticmethod
+    def _send(head_lines, body=b""):
+        async def handler(server, host, port):
+            head = "\r\n".join(head_lines) + "\r\n\r\n"
+            return await _raw(host, port, head.encode() + body)
+
+        return run_server(handler)
+
+    @pytest.mark.parametrize("length", ["abc", "-3"])
+    def test_invalid_content_length_is_400_and_closes(self, length):
+        head, body = self._send(
+            ["POST /v1/peak HTTP/1.1", "Host: x", f"Content-Length: {length}"],
+            b"{}",
+        )
+        lines = head.splitlines()
+        assert lines[0] == "HTTP/1.1 400 Bad Request"
+        assert "Connection: close" in lines
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_body_resembling_old_oversize_marker_is_served(self):
+        body = b"\x00oversized!!"
+        assert len(body) == 12
+        head, payload = self._send(
+            ["GET / HTTP/1.1", "Host: x", f"Content-Length: {len(body)}",
+             "Connection: close"],
+            body,
+        )
+        assert head.startswith("HTTP/1.1 200")
+        assert json.loads(payload)["service"] == "repro.serve"

@@ -4,8 +4,8 @@ The tentpole guarantees under test (``docs/observability.md``):
 
 - tracing is **off by default** and responses are byte-identical with it
   on or off (metamorphic);
-- N concurrent requests through the :class:`MicroBatcher` yield exactly
-  N request spans linked to one ``batch.flush`` span, no orphans;
+- N concurrent ``/v1/peak`` requests yield N request root spans, each
+  with one ``batch.peak_batch`` child, and no orphans;
 - ``/debug/traces`` serves the span buffer as JSON and waterfall HTML;
 - ``/metrics`` exposes per-endpoint/per-tenant latency quantiles and
   buckets;
@@ -19,7 +19,7 @@ import pytest
 
 from repro.obs.detect import SpanOrphanDetector
 from repro.obs.export import parse_openmetrics
-from repro.serve import MicroBatcher, ServeConfig, ThermalServer
+from repro.serve import ServeConfig, ThermalServer
 from repro.serve.loadgen import LoadgenConfig, _http_request, run_loadgen
 
 SMALL = {"mesh_width": 2, "mesh_height": 2}
@@ -124,10 +124,10 @@ class TestDisabledByDefault:
 class TestConcurrentPropagation:
     N = 5
 
-    def test_n_requests_one_flush_span_n_links(self):
-        """The satellite contract, end to end over TCP: N concurrent
-        tenants coalesce into batch flushes whose links cover exactly the
-        N request spans, and the span set has no orphans."""
+    def test_n_requests_n_roots_each_with_one_peak_batch(self):
+        """End to end over TCP: N concurrent requests give N ``http.peak``
+        roots, each the parent of exactly one ``batch.peak_batch`` span,
+        and the span set has no orphans."""
 
         async def handler(server, host, port):
             for index in range(self.N):
@@ -148,47 +148,13 @@ class TestConcurrentPropagation:
 
         spans = run_server(handler, TRACED)
         requests = [s for s in spans if s.name == "http.peak"]
-        flushes = [s for s in spans if s.name == "batch.flush"]
+        evaluations = [s for s in spans if s.name == "batch.peak_batch"]
         assert len(requests) == self.N
-        # every request span is linked from exactly one flush
-        linked = sorted(link for flush in flushes for link in flush.links)
-        assert linked == sorted(s.span_id for s in requests)
-        assert SpanOrphanDetector().check(spans) == []
-
-    def test_direct_batcher_single_flush(self):
-        """Without TCP interleaving, one gather = one flush linking all
-        N origins (call_soon runs after every enqueue of the tick)."""
-        from repro.obs.spans import SpanTracer
-        from repro.thermal.calibrate import calibrated_model
-        from repro.thermal.matex import ThermalDynamics
-        from repro.core.peak_temperature import PeakTemperatureCalculator
-        from repro import config
-
-        cfg = config.SystemConfig(mesh_width=2, mesh_height=2)
-        calculator = PeakTemperatureCalculator(
-            ThermalDynamics(calibrated_model(cfg)), cfg.thermal.ambient_c
+        assert all(s.parent_id is None for s in requests)
+        assert sorted(s.parent_id for s in evaluations) == sorted(
+            s.span_id for s in requests
         )
-        tracer = SpanTracer(enabled=True)
-        batcher = MicroBatcher(tracer=tracer)
-        seq = [[1.0] * 4]
-
-        async def request(index):
-            with tracer.span(f"request{index}"):
-                return await batcher.evaluate_many(calculator, [seq], [None])
-
-        async def main():
-            return await asyncio.gather(*(request(i) for i in range(4)))
-
-        results = asyncio.run(main())
-        assert len({peaks[0] for peaks in results}) == 1  # identical answers
-        assert batcher.flushes == 1
-        spans = list(tracer)
-        flushes = [s for s in spans if s.name == "batch.flush"]
-        origins = sorted(
-            s.span_id for s in spans if s.name.startswith("request")
-        )
-        assert len(flushes) == 1
-        assert sorted(flushes[0].links) == origins
+        assert all(s.attrs["candidates"] == 1 for s in evaluations)
         assert SpanOrphanDetector().check(spans) == []
 
     def test_simulate_attaches_engine_phase_spans(self):
@@ -242,7 +208,7 @@ class TestDebugTracesEndpoint:
             payload = json.loads(body)
             assert payload["enabled"] is True
             names = {span["name"] for span in payload["spans"]}
-            assert "http.peak" in names and "batch.flush" in names
+            assert "http.peak" in names and "batch.peak_batch" in names
 
         run_server(handler, TRACED)
 
