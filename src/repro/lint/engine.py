@@ -45,8 +45,8 @@ DETERMINISTIC_SUBPACKAGES = ("sim", "sched", "thermal", "core")
 
 #: Top-level ``repro`` modules held to the same determinism rules; an
 #: entry with a trailing slash covers a whole package.  The parallel
-#: runner's contract is that a sweep's results (and now its retry/backoff
-#: schedule) are a pure function of its seeds, and the fault injector's
+#: runner's contract is that a sweep's results are a pure function of
+#: its seeds, and the fault injector's
 #: is that a fault schedule replays bit-exactly from ``FaultsConfig.seed``
 #: — a wall-clock or global-RNG read in either silently breaks that.
 #: The serve layer joins them: identical request payloads must yield

@@ -14,7 +14,7 @@ hot loop, plus the analytics that turn its artifacts into insight (see
   latency, ...), snapshotted into
   :class:`~repro.sim.metrics.SimulationResult` and exportable to CSV/JSON;
 - :class:`PhaseProfiler` — wall-clock timers around engine phases, off by
-  default and free when disabled;
+  default (no profiler attached, no hooks run);
 - :class:`Observer` — the bundle of the three the engine threads through;
 - :mod:`repro.obs.analyze` — per-run derived statistics (thermal stress,
   DTM duty cycle, migration rates, rotation adherence, observed peak vs the

@@ -12,14 +12,14 @@ an independent simulation.  This module fans those cells out over a
    *byte-identical* results to a serial one, which the test suite asserts.
 2. **Ordered collation** — results come back keyed and in submission
    order regardless of completion order.
-3. **Graceful degradation** — with ``jobs <= 1``, a single cell, or on any
-   platform where process pools are unavailable (sandboxes without
-   ``fork``/semaphores), the cells simply run serially in-process.
-4. **Crash tolerance** (``docs/faults.md``) — an optional
-   :class:`RetryPolicy` re-runs failing cells with capped exponential
-   backoff whose jitter is *seeded* (the retry schedule is as reproducible
-   as the results); per-cell timeouts bound hung workers; a killed worker
-   pool is rebuilt and its unfinished cells resubmitted; and a JSONL
+3. **Graceful degradation** — with ``jobs <= 1``, a single cell, cells
+   that do not pickle, or on any platform where process pools are
+   unavailable (sandboxes without ``fork``/semaphores), the cells simply
+   run serially in-process; if a worker dies mid-sweep (OOM kill,
+   SIGKILL, segfault) the unfinished cells finish serially.  A cell's own
+   exception is never a reason to fall back: it propagates after that
+   cell's single run.
+4. **Crash tolerance** (``docs/faults.md``) — a JSONL
    :class:`SweepCheckpoint` persists each finished cell so a killed sweep
    resumes with only its incomplete cells — byte-identical to an
    uninterrupted run.
@@ -27,7 +27,6 @@ an independent simulation.  This module fans those cells out over a
 Cell functions should be module-level (picklable) callables; everything
 a cell needs travels through its ``kwargs`` (an :class:`RCThermalModel`
 pickles fine — each worker rebuilds the cheap eigendecomposition itself).
-A sweep whose cells do not pickle runs serially instead.
 
 ``jobs="auto"`` derives the worker count from ``os.cpu_count()``: a
 process pool with one worker per core (at most one per cell) when more
@@ -41,9 +40,7 @@ import hashlib
 import json
 import os
 import pickle
-import time as _time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,19 +56,12 @@ from typing import (
     Union,
 )
 
-from .obs.profiling import PhaseProfiler
-
 __all__ = [
     "Cell",
-    "CellTimeoutError",
-    "RetryPolicy",
     "SweepCheckpoint",
     "derive_seed",
     "run_cells",
 ]
-
-#: How often a broken worker pool is rebuilt before degrading to serial.
-_MAX_POOL_RESTARTS = 3
 
 
 def derive_seed(base_seed: int, *parts: Any) -> int:
@@ -91,10 +81,6 @@ def derive_seed(base_seed: int, *parts: Any) -> int:
     return int.from_bytes(digest.digest()[:4], "big")
 
 
-class CellTimeoutError(RuntimeError):
-    """A cell exceeded its per-cell timeout on every allowed attempt."""
-
-
 @dataclass(frozen=True)
 class Cell:
     """One independent unit of a sweep.
@@ -112,41 +98,20 @@ class Cell:
         return self.fn(**self.kwargs)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Per-cell retry with capped exponential backoff, seeded jitter.
-
-    A failing (or timed-out) cell is re-run up to ``retries`` extra times.
-    Before attempt ``k`` the runner sleeps
-    ``min(cap, base * 2**(k-1)) * jitter`` where ``jitter`` in ``[0, 1)``
-    comes from :func:`derive_seed` over ``(seed, cell key, k)`` — the full
-    backoff schedule is a pure function of the policy and the cell, never
-    of the wall clock, so retry behaviour is reproducible in tests.
-    """
-
-    retries: int = 0
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    seed: int = 0
-
-    def delay_s(self, key: Hashable, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (1-based) of cell ``key``."""
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        bound = min(
-            self.backoff_cap_s, self.backoff_base_s * 2 ** (attempt - 1)
-        )
-        jitter = derive_seed(self.seed, canonical_key(key), attempt) / 2**32
-        return bound * jitter
-
-
 def canonical_key(key: Hashable) -> str:
     """Canonical string form of a cell key (checkpoint record identity).
 
     JSON with sorted object keys; tuples and lists collapse to the same
     form, so a key round-tripped through a checkpoint still matches.
+    Raises :class:`ValueError` for a key JSON cannot represent (a
+    ``frozenset``, say): such a cell runs, but cannot be checkpointed.
     """
-    return json.dumps(key, sort_keys=True)
+    try:
+        return json.dumps(key, sort_keys=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"cell key {key!r} cannot be checkpointed: {exc}"
+        ) from exc
 
 
 class SweepCheckpoint:
@@ -224,40 +189,6 @@ def _execute_cell(cell: Cell) -> Any:
     return cell.execute()
 
 
-def _run_serial_cell(cell: Cell, retry: RetryPolicy) -> Any:
-    attempt = 0
-    while True:
-        try:
-            return cell.execute()
-        except Exception:
-            if attempt >= retry.retries:
-                raise
-            attempt += 1
-            _time.sleep(retry.delay_s(cell.key, attempt))
-
-
-def _run_serial(
-    cells: List[Cell],
-    profiler: Optional[PhaseProfiler],
-    retry: RetryPolicy,
-    on_done: Callable[[Cell, Any], Any] = lambda cell, result: result,
-) -> List[Any]:
-    """Run cells in-process; ``on_done`` fires as each cell finishes.
-
-    ``on_done`` runs at completion time — not after the whole sweep — so
-    a checkpointing callback makes every finished cell durable before the
-    next one starts (a SIGKILL mid-sweep loses only the in-flight cell).
-    """
-    results = []
-    for cell in cells:
-        if profiler is not None:
-            with profiler.time("parallel.cell"):
-                results.append(on_done(cell, _run_serial_cell(cell, retry)))
-        else:
-            results.append(on_done(cell, _run_serial_cell(cell, retry)))
-    return results
-
-
 def _resolve_policy(jobs: Union[int, str], n_pending: int) -> Tuple[str, int]:
     """Map the ``jobs`` argument to an execution policy and worker count.
 
@@ -290,9 +221,6 @@ def _picklable(cells: List[Cell]) -> bool:
 def run_cells(
     cells: Iterable[Cell],
     jobs: Union[int, str] = 1,
-    profiler: Optional[PhaseProfiler] = None,
-    retry: Optional[RetryPolicy] = None,
-    timeout_s: Optional[float] = None,
     checkpoint_path: Optional[Union[str, Path]] = None,
     resume: bool = False,
     encode: Callable[[Any], Any] = _identity,
@@ -301,20 +229,14 @@ def run_cells(
     """Execute ``cells`` and collate ``{cell.key: result}`` in input order.
 
     ``jobs <= 1`` (or a single cell) runs serially in-process.  With
-    ``jobs > 1`` the cells are dispatched to a ``ProcessPoolExecutor``;
+    ``jobs > 1`` the cells are dispatched to one ``ProcessPoolExecutor``;
     ``jobs="auto"`` picks the worker count from the host's cores
-    (:func:`_resolve_policy`).  If the cells do not pickle, or the pool
-    cannot be created (no ``fork`` support, sandboxed semaphores) — or
-    breaks more than ``_MAX_POOL_RESTARTS`` times — the sweep falls back
-    to the serial path; the results are identical either way, only the
-    wall time differs.
-
-    ``retry`` re-runs failing cells per :class:`RetryPolicy` (both modes);
-    after the allowed attempts the cell's exception propagates.
-    ``timeout_s`` bounds each cell's wall time — pool mode only (a serial
-    in-process cell cannot be pre-empted); a timed-out attempt abandons
-    the current pool and counts as a failed attempt, raising
-    :class:`CellTimeoutError` once attempts are exhausted.
+    (:func:`_resolve_policy`).  If the cells do not pickle, the pool
+    cannot be created (no ``fork`` support, sandboxed semaphores), or it
+    breaks because a worker died, the unfinished cells run serially
+    in-process; the results are identical either way, only the wall time
+    differs.  An exception raised by a cell propagates after that cell's
+    single run, with the cells not yet started cancelled.
 
     ``checkpoint_path`` enables crash-tolerant sweeps: each finished
     cell's ``encode``-d result is durably appended to a
@@ -325,151 +247,82 @@ def run_cells(
     checkpoint file) to an uninterrupted one.  ``encode``/``decode``
     default to identity and must produce JSON-serializable payloads
     (simulation sweeps pass :func:`repro.io.result_to_dict` /
-    :func:`repro.io.result_from_dict`).
+    :func:`repro.io.result_from_dict`); checkpointed cell keys must be
+    JSON-serializable too (:func:`canonical_key`).
     """
     cells = list(cells)
     keys = [cell.key for cell in cells]
     if len(set(keys)) != len(keys):
         raise ValueError("cell keys must be unique")
-    retry = retry if retry is not None else RetryPolicy()
     checkpoint = (
         SweepCheckpoint(checkpoint_path) if checkpoint_path is not None else None
     )
-    done: Dict[str, Any] = {}
+    # encoded results by cell key: restored ones now, fresh ones as they land
+    encoded: Dict[Hashable, Any] = {}
     if checkpoint is not None:
+        canonical = {key: canonical_key(key) for key in keys}
         if resume:
-            done = checkpoint.load()
+            stored = checkpoint.load()
+            encoded = {
+                key: stored[canon]
+                for key, canon in canonical.items()
+                if canon in stored
+            }
         elif checkpoint.path.exists():
             checkpoint.path.unlink()
+    pending = [cell for cell in cells if cell.key not in encoded]
+    results: Dict[Hashable, Any] = {}
 
-    pending = [
-        cell for cell in cells if canonical_key(cell.key) not in done
-    ]
-    fresh: Dict[str, Any] = {}
+    def _record(cell: Cell, result: Any) -> None:
+        # runs per cell *at completion time* (not after the sweep), so every
+        # finished cell is durably checkpointed before the next result lands
+        # — the crash-tolerance contract of docs/faults.md
+        if checkpoint is not None:
+            encoded[cell.key] = encode(result)
+            checkpoint.append(cell.key, encoded[cell.key])
+            # round-trip even fresh results so resumed and uninterrupted
+            # sweeps return byte-identical values
+            result = decode(encoded[cell.key])
+        results[cell.key] = result
 
-    def _record(cell: Cell, result: Any) -> Any:
-        if checkpoint is None:
-            return result
-        encoded = encode(result)
-        checkpoint.append(cell.key, encoded)
-        fresh[canonical_key(cell.key)] = encoded
-        # round-trip even fresh results so resumed and uninterrupted
-        # sweeps return byte-identical values
-        return decode(encoded)
-
-    # _record runs per cell *at completion time* (not after the sweep), so
-    # every finished cell is durably checkpointed before the next result
-    # lands — the crash-tolerance contract of docs/faults.md
     policy, workers = _resolve_policy(jobs, len(pending))
     if policy == "fork" and _picklable(pending):
-        try:
-            if profiler is not None:
-                with profiler.time("parallel.pool"):
-                    computed = _run_pool(
-                        pending, workers, retry, timeout_s, on_done=_record
-                    )
-            else:
-                computed = _run_pool(
-                    pending, workers, retry, timeout_s, on_done=_record
-                )
-        except (OSError, NotImplementedError, pickle.PicklingError):
-            # cells recorded before the pool died are re-run serially but
-            # re-recorded idempotently (the checkpoint keeps the last write)
-            computed = _run_serial(pending, profiler, retry, on_done=_record)
-    else:
-        computed = _run_serial(pending, profiler, retry, on_done=_record)
+        _run_pool(pending, workers, _record)
+    for cell in pending:
+        if cell.key not in results:
+            _record(cell, cell.execute())
 
-    by_key: Dict[str, Any] = {}
-    for cell, result in zip(pending, computed):
-        by_key[canonical_key(cell.key)] = result
-    for canon, encoded in done.items():
-        by_key[canon] = decode(encoded)
+    for key in keys:
+        if key not in results:  # restored from the checkpoint
+            results[key] = decode(encoded[key])
     if checkpoint is not None:
-        stored = dict(done)
-        stored.update(fresh)
-        checkpoint.finalize(
-            (cell.key, stored[canonical_key(cell.key)]) for cell in cells
-        )
-    return {cell.key: by_key[canonical_key(cell.key)] for cell in cells}
+        checkpoint.finalize((key, encoded[key]) for key in keys)
+    return {key: results[key] for key in keys}
 
 
 def _run_pool(
-    cells: List[Cell],
-    jobs: int,
-    retry: RetryPolicy,
-    timeout_s: Optional[float],
-    on_done: Callable[[Cell, Any], Any] = lambda cell, result: result,
-) -> List[Any]:
-    """Pool execution with retries, timeouts and pool-restart recovery.
+    cells: List[Cell], jobs: int, on_done: Callable[[Cell, Any], None]
+) -> None:
+    """Run ``cells`` in one process pool, ``on_done`` per finished cell.
 
-    ``on_done`` fires per cell as its future resolves (checkpoint
-    durability, as in :func:`_run_serial`); already-recorded cells are
-    never resubmitted after a pool restart, so it fires once per cell.
-    Results are collated in submission order.  A ``BrokenProcessPool``
-    (a worker died — OOM kill, SIGKILL, segfault) rebuilds the pool and
-    resubmits the unfinished cells, up to ``_MAX_POOL_RESTARTS`` times;
-    beyond that the remaining cells run serially.  A timed-out cell also
-    abandons the pool (the hung worker would otherwise keep its slot),
-    counting one failed attempt for that cell only.
+    ``on_done`` fires in submission order as each future resolves.  If
+    the pool cannot be created or a worker dies (``BrokenProcessPool``),
+    this returns early and the caller runs the cells ``on_done`` has not
+    seen serially.  Any other exception is the cell's own: it propagates,
+    with the cells not yet started cancelled.
     """
-    results: Dict[int, Any] = {}
-    attempts = [0] * len(cells)
-    restarts = 0
-    while len(results) < len(cells):
-        outstanding = [i for i in range(len(cells)) if i not in results]
-        # no `with`: its __exit__ would join workers, blocking forever on a
-        # hung cell after a timeout — shutdown is managed explicitly instead
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(outstanding)))
+    try:
+        pool = ProcessPoolExecutor(max_workers=jobs)
+    except (OSError, NotImplementedError):
+        return  # no process support here (sandboxed semaphores)
+    try:
         try:
-            futures = {
-                i: pool.submit(_execute_cell, cells[i]) for i in outstanding
-            }
-            for i in outstanding:
-                while True:
-                    try:
-                        results[i] = on_done(
-                            cells[i], futures[i].result(timeout=timeout_s)
-                        )
-                        break
-                    except _FutureTimeout:
-                        attempts[i] += 1
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        if attempts[i] > retry.retries:
-                            raise CellTimeoutError(
-                                f"cell {cells[i].key!r} exceeded "
-                                f"{timeout_s} s on every attempt"
-                            ) from None
-                        _time.sleep(retry.delay_s(cells[i].key, attempts[i]))
-                        # the worker may be hung: abandon this pool and
-                        # resubmit everything unfinished in a fresh one
-                        raise _PoolAbandoned()
-                    except BrokenProcessPool:
-                        raise
-                    except _PoolAbandoned:
-                        raise
-                    except Exception:
-                        attempts[i] += 1
-                        if attempts[i] > retry.retries:
-                            pool.shutdown(wait=False, cancel_futures=True)
-                            raise
-                        _time.sleep(retry.delay_s(cells[i].key, attempts[i]))
-                        futures[i] = pool.submit(_execute_cell, cells[i])
-        except _PoolAbandoned:
-            continue
-        except BrokenProcessPool:
-            pool.shutdown(wait=False, cancel_futures=True)
-            restarts += 1
-            if restarts > _MAX_POOL_RESTARTS:
-                # the environment cannot keep a pool alive; finish serially
-                remaining = [i for i in range(len(cells)) if i not in results]
-                for i in remaining:
-                    results[i] = on_done(
-                        cells[i], _run_serial_cell(cells[i], retry)
-                    )
-            continue
-        pool.shutdown(wait=True)
-    return [results[i] for i in range(len(cells))]
-
-
-class _PoolAbandoned(Exception):
-    """Internal: restart the pool without counting a broken-pool strike."""
+            futures = [pool.submit(_execute_cell, cell) for cell in cells]
+        except OSError:
+            return  # the workers could not be started (fork refused)
+        for cell, future in zip(cells, futures):
+            on_done(cell, future.result())
+    except BrokenProcessPool:
+        return  # a worker died (OOM kill, SIGKILL, segfault)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

@@ -23,11 +23,11 @@ phase                 implementation
 placement             inherited from :class:`~repro.sched.pcgov.PCGovScheduler`
                       via :class:`~repro.sched.naive.StaticPlacer` —
                       lowest-AMD-first static assignment (PCGov mapping rule)
-violation prediction  :meth:`PCMigScheduler._predicted_core_temps` — exact RC
+violation prediction  :meth:`PredictiveMigrator._predicted_core_temps` — exact RC
                       transient ``prediction_horizon_s`` ahead under the
                       currently observed power map (substitutes the published
                       NN predictor, upper-bounding its accuracy)
-migration trigger     :meth:`PCMigScheduler._maybe_migrate` — the *asynchronous,
+migration trigger     :meth:`PredictiveMigrator._maybe_migrate` — the *asynchronous,
                       on-demand* migration the source paper contrasts with its
                       *synchronous* rotations: fire only when a core is
                       predicted above ``T_DTM - guard_band_c``, at most
@@ -39,11 +39,15 @@ DVFS enforcement      inherited PCGov governor — per-core TSP budget enforced
 Parameters (constructor): ``prediction_horizon_s`` — look-ahead of the
 violation check (default 5 ms, the published reaction horizon);
 ``guard_band_c`` — trigger margin below the DTM threshold (default 1 degC).
+
+The predictor and the trigger live in :class:`PredictiveMigrator`, which
+:class:`~repro.sched.async_migration.AsyncMigrationScheduler` shares: the
+same migrations without PCMig's DVFS.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -59,10 +63,14 @@ _GUARD_BAND_C = 1.0
 _MAX_MIGRATIONS_PER_INTERVAL = 2
 
 
-class PCMigScheduler(PCGovScheduler):
-    """The paper's state-of-the-art baseline (Section VI)."""
+class PredictiveMigrator:
+    """RC-predicted, on-demand thread migrations (mixin).
 
-    name = "pcmig"
+    Mixed in before a scheduler base that provides ``ctx``,
+    ``observed_temperatures()`` and a :class:`~repro.sched.naive.StaticPlacer`
+    as ``_placer``.  :meth:`_thread_power` picks the per-thread power signal
+    the predictor extrapolates from.
+    """
 
     def __init__(
         self,
@@ -73,6 +81,10 @@ class PCMigScheduler(PCGovScheduler):
         self.prediction_horizon_s = prediction_horizon_s
         self.guard_band_c = guard_band_c
         self.migration_decisions = 0
+
+    def _thread_power(self) -> Callable[[str], float]:
+        """Per-thread power [W] the predictor reads: the 10 ms window mean."""
+        return self.ctx.thread_power_w
 
     # -- prediction ---------------------------------------------------------------
 
@@ -88,11 +100,12 @@ class PCMigScheduler(PCGovScheduler):
             temps_now = self.observed_temperatures()
         except RuntimeError:
             return None
+        thread_power = self._thread_power()
         idle = self.ctx.power_model.idle_power_w()
         power = np.full(self.ctx.n_cores, idle)
         for thread_id, core in self._placer.placements.items():
             try:
-                power[core] = self.ctx.thread_power_w(thread_id)
+                power[core] = thread_power(thread_id)
             except KeyError:
                 continue
         # lift core temps onto the full node vector: approximate cooling
@@ -111,16 +124,21 @@ class PCMigScheduler(PCGovScheduler):
 
     # -- migration ------------------------------------------------------------------
 
-    def _maybe_migrate(self) -> None:
+    def _maybe_migrate(self) -> bool:
+        """Move the most endangered threads to cooler free cores.
+
+        Returns whether the check ran (a prediction and a free core were
+        available), i.e. whether the placement may have changed.
+        """
         predicted = self._predicted_core_temps()
         if predicted is None:
-            return
+            return False
         threshold = self.ctx.config.thermal.dtm_threshold_c - self.guard_band_c
         placements = self._placer.placements
         occupied = {core: t for t, core in placements.items()}
         free = self._placer.free_cores()
         if not free:
-            return
+            return False
         endangered = [
             core
             for core in occupied
@@ -139,10 +157,18 @@ class PCMigScheduler(PCGovScheduler):
             free.remove(target)
             free.append(core)
             self.migration_decisions += 1
-        self._recompute_budget()
+        return True
+
+
+class PCMigScheduler(PredictiveMigrator, PCGovScheduler):
+    """The paper's state-of-the-art baseline (Section VI)."""
+
+    name = "pcmig"
 
     def decide(self, now_s: float) -> SchedulerDecision:
-        self._maybe_migrate()
+        if self._maybe_migrate():
+            # migrations rebalanced the map: re-derive the TSP budget
+            self._recompute_budget()
         return super().decide(now_s)
 
     def metrics(self) -> Mapping[str, float]:

@@ -520,7 +520,7 @@ class ThermalServer:
         payload = _parse_json(body)
         tenant = self._tenant_for(payload, "simulate")
         now_s = asyncio.get_running_loop().time()
-        profiler = PhaseProfiler(enabled=True) if self.tracer.enabled else None
+        profiler = PhaseProfiler() if self.tracer.enabled else None
         try:
             # plain 2-arg call when untraced: the service method (and any
             # test double standing in for it) owes no profiler parameter

@@ -81,8 +81,9 @@ class TestTreeIsClean:
         assert findings == [], [f.to_dict() for f in findings]
 
     def test_cli_gate_with_committed_baseline(self):
+        # --no-cache: a test run must not rewrite .lint-cache.json in the tree
         result = _cli(
-            "check", str(SRC), "--baseline", str(BASELINE), "--json"
+            "check", str(SRC), "--baseline", str(BASELINE), "--json", "--no-cache"
         )
         assert result.returncode == 0, result.stdout + result.stderr
         payload = json.loads(result.stdout)

@@ -2,14 +2,14 @@
 
 The load-bearing property: a parallel sweep is *byte-identical* to a serial
 one — per-cell seeds are pure functions of cell identity, collation is
-ordered, and pool failures degrade to the serial path.
+ordered, and pool failures (never a cell's own exception) degrade to the
+serial path.
 """
 
 import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -17,8 +17,6 @@ import pytest
 from repro import config
 from repro.parallel import (
     Cell,
-    CellTimeoutError,
-    RetryPolicy,
     SweepCheckpoint,
     canonical_key,
     derive_seed,
@@ -141,22 +139,23 @@ class TestParallelDeterminism:
         assert a == b
 
 
-# -- retry / timeout / checkpoint (the repro.faults hardening layer) -------------
+# -- pool failures and checkpointing -----------------------------------------
 
 
-def _flaky(counter_path, succeed_on):
-    """Fail until attempt ``succeed_on``; a tmp file counts real invocations."""
-    path = Path(counter_path)
-    attempt = int(path.read_text()) + 1 if path.exists() else 1
-    path.write_text(str(attempt))
-    if attempt < succeed_on:
-        raise RuntimeError(f"flaky attempt {attempt}")
-    return attempt
+def _log_run(log_path, x):
+    """Append one line per real invocation; ``x < 0`` raises afterwards."""
+    with open(log_path, "a") as handle:
+        handle.write(f"{x}\n")
+    if x < 0:
+        raise FileNotFoundError(f"missing input for cell {x}")
+    return x * x
 
 
-def _sleep_then_return(seconds, value):
-    time.sleep(seconds)
-    return value
+def _die_in_worker(parent_pid, x):
+    """Kill the worker process running this cell; succeed in the parent."""
+    if os.getpid() != parent_pid:
+        os._exit(1)
+    return x * x
 
 
 def _count_and_square(counter_path, x):
@@ -173,86 +172,65 @@ def _dec(d):
     return d["payload"]
 
 
-class TestRetryPolicy:
-    def test_delay_is_pure_and_deterministic(self):
-        policy = RetryPolicy(retries=3, seed=7)
-        assert policy.delay_s("cell", 1) == policy.delay_s("cell", 1)
-        assert policy.delay_s("cell", 1) != policy.delay_s("cell", 2)
-        assert policy.delay_s("cell", 1) != policy.delay_s("other", 1)
+class TestPoolFailures:
+    def test_cell_oserror_propagates_after_one_run(self, tmp_path):
+        log = tmp_path / "runs.log"
+        cells = [
+            Cell(key=x, fn=_log_run, kwargs={"log_path": str(log), "x": x})
+            for x in (1, 2, 3, -1)
+        ]
+        with pytest.raises(FileNotFoundError, match="cell -1"):
+            run_cells(cells, jobs=2)
+        # the cell's own error is not a pool failure: nothing re-runs serially
+        runs = log.read_text().splitlines()
+        assert runs.count("-1") == 1
+        assert all(runs.count(str(x)) <= 1 for x in (1, 2, 3))
 
-    def test_delay_bounded_by_capped_exponential(self):
-        policy = RetryPolicy(retries=8, backoff_base_s=0.05, backoff_cap_s=0.4)
-        for attempt in range(1, 9):
-            bound = min(0.4, 0.05 * 2 ** (attempt - 1))
-            delay = policy.delay_s(("k", attempt), attempt)
-            assert 0.0 <= delay <= bound
+    def test_worker_death_finishes_serially(self):
+        cells = lambda: [
+            Cell(key=0, fn=_square, kwargs={"x": 0}),
+            Cell(key=1, fn=_die_in_worker, kwargs={"parent_pid": os.getpid(), "x": 1}),
+            Cell(key=2, fn=_square, kwargs={"x": 2}),
+            Cell(key=3, fn=_square, kwargs={"x": 3}),
+        ]
+        serial = run_cells(cells(), jobs=1)
+        pooled = run_cells(cells(), jobs=2)
+        assert list(pooled) == list(serial) == [0, 1, 2, 3]
+        assert pooled == serial == {0: 0, 1: 1, 2: 4, 3: 9}
 
-    def test_attempt_is_one_based(self):
-        with pytest.raises(ValueError, match="1-based"):
-            RetryPolicy().delay_s("k", 0)
+    def test_worker_death_checkpoint_holds_each_key_once(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        cells = [
+            Cell(key=i, fn=_die_in_worker, kwargs={"parent_pid": os.getpid(), "x": i})
+            for i in range(4)
+        ]
+        results = run_cells(cells, jobs=2, checkpoint_path=path)
+        assert results == {i: i * i for i in range(4)}
+        keys = [json.loads(l)["key"] for l in path.read_text().splitlines()]
+        assert keys == ["0", "1", "2", "3"]
 
-    def test_seed_changes_schedule(self):
-        a = RetryPolicy(seed=1).delay_s("k", 1)
-        b = RetryPolicy(seed=2).delay_s("k", 1)
-        assert a != b
 
+class TestNonJsonKeys:
+    def test_serial_and_pool_runs_accept_hashable_keys(self):
+        cells = lambda: [
+            Cell(key=frozenset({i}), fn=_square, kwargs={"x": i}) for i in range(3)
+        ]
+        expected = {frozenset({i}): i * i for i in range(3)}
+        assert run_cells(cells(), jobs=1) == expected
+        assert run_cells(cells(), jobs=2) == expected
 
-class TestRetryExecution:
-    def test_serial_retry_recovers_flaky_cell(self, tmp_path):
-        counter = tmp_path / "attempts"
+    def test_checkpoint_rejects_non_json_key_before_running(self, tmp_path):
+        counter = tmp_path / "n"
         cells = [
             Cell(
-                key="flaky",
-                fn=_flaky,
-                kwargs={"counter_path": str(counter), "succeed_on": 3},
+                key=frozenset({1}),
+                fn=_count_and_square,
+                kwargs={"counter_path": str(counter), "x": 1},
             )
         ]
-        policy = RetryPolicy(retries=2, backoff_base_s=1e-4)
-        assert run_cells(cells, jobs=1, retry=policy) == {"flaky": 3}
-        assert counter.read_text() == "3"
-
-    def test_exhausted_retries_propagate(self, tmp_path):
-        counter = tmp_path / "attempts"
-        cells = [
-            Cell(
-                key="flaky",
-                fn=_flaky,
-                kwargs={"counter_path": str(counter), "succeed_on": 5},
-            )
-        ]
-        policy = RetryPolicy(retries=1, backoff_base_s=1e-4)
-        with pytest.raises(RuntimeError, match="flaky attempt 2"):
-            run_cells(cells, jobs=1, retry=policy)
-
-    def test_pool_retry_recovers_flaky_cell(self, tmp_path):
-        counter = tmp_path / "attempts"
-        cells = [
-            Cell(
-                key="flaky",
-                fn=_flaky,
-                kwargs={"counter_path": str(counter), "succeed_on": 2},
-            ),
-            Cell(key="ok", fn=_square, kwargs={"x": 3}),
-        ]
-        policy = RetryPolicy(retries=1, backoff_base_s=1e-4)
-        results = run_cells(cells, jobs=2, retry=policy)
-        assert results == {"flaky": 2, "ok": 9}
-
-
-class TestTimeout:
-    def test_pool_timeout_raises_cell_timeout(self):
-        cells = [
-            Cell(key="hang", fn=_sleep_then_return, kwargs={"seconds": 60, "value": 1}),
-            Cell(key="fast", fn=_square, kwargs={"x": 2}),
-        ]
-        with pytest.raises(CellTimeoutError):
-            run_cells(cells, jobs=2, timeout_s=0.5)
-
-    def test_fast_cells_unaffected_by_generous_timeout(self):
-        cells = [Cell(key=i, fn=_square, kwargs={"x": i}) for i in range(4)]
-        assert run_cells(cells, jobs=2, timeout_s=30.0) == {
-            i: i * i for i in range(4)
-        }
+        with pytest.raises(ValueError, match="cannot be checkpointed"):
+            run_cells(cells, checkpoint_path=tmp_path / "sweep.jsonl")
+        assert not counter.exists()
 
 
 class TestSweepCheckpoint:
